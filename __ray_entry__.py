@@ -59,13 +59,10 @@ def _kg_graph_compacted(sf_dir: str):
     import shutil
     import tempfile
 
-    import numpy as np
     import pyarrow as pa
-    import ray.data as rd
-    from kgray.functions.hashing import polyhash64_batch
     from kgray.pipelines.kg import kg_dataset, page_files
     from kgray.sources.derived import corpus_for_sf, models_for_corpus
-    from kgray.stages.canonical import canonical_graph
+    from kgray.stages.canonical import add_subj_bucket, canonical_graph
     from kgray.stages.compact import compact_partitioned
 
     corpus = corpus_for_sf(sf_dir)
@@ -73,16 +70,9 @@ def _kg_graph_compacted(sf_dir: str):
     ds = kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm")
     graph = canonical_graph(ds).drop_columns(["sample_urls"])
 
-    def add_bucket(batch):
-        b = (polyhash64_batch(batch.column("subj"))
-             % np.uint64(8)).astype(np.int32)
-        return batch.append_column("subj_bucket",
-                                   pa.array(b, type=pa.int32()))
-
     out = tempfile.mkdtemp(prefix="kgray_compact_")
     try:
-        (graph.map_batches(add_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
+        (add_subj_bucket(graph, 8)
          .sort(["subj_bucket", "subj"])
          .repartition(48)           # deliberately fragmented sink
          .write_parquet(out, partition_cols=["subj_bucket"]))
@@ -99,23 +89,14 @@ def _kg_graph_compacted(sf_dir: str):
 
 
 def _kg_mentions(sf_dir: str):
-    from kgray.pipelines.kg import (_auto_concurrency, _model_paths,
-                                    kg_dataset, page_files)
+    from kgray.pipelines.kg import kg_dataset, page_files
     from kgray.sources.derived import corpus_for_sf, models_for_corpus
-    from kgray.stages.extract import extract_text, split_sentences
     from kgray.stages.kg import decode_mentions
-    from kgray.stages.tagger import HMMTagger
-    import ray.data as rd
 
     corpus = corpus_for_sf(sf_dir)
     model_dir = models_for_corpus(corpus, tagger="hmm")
-    ds = rd.read_parquet(page_files(corpus), columns=["url", "html", "lang"])
-    ds = ds.map_batches(extract_text, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(split_sentences, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(HMMTagger,
-                        fn_constructor_kwargs={"model_paths": _model_paths(model_dir, "hmm")},
-                        batch_format="pyarrow", batch_size=1024,
-                        concurrency=_auto_concurrency()[0], num_cpus=1)
+    ds = kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm",
+                    until="tagged")
     return ds.map_batches(decode_mentions, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -125,7 +106,7 @@ def _tags_valid(sf_dir: str, tagger: str):
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
-    from kgray.pipelines.kg import _auto_concurrency, _model_paths
+    from kgray.pipelines.kg import TAGGER_EIGHTHS, _model_paths, pool_budget
     from kgray.sources.derived import corpus_for_sf, models_for_corpus
     from kgray.stages.tagger import CRFTagger, HMMTagger, TransformerTagger
 
@@ -140,16 +121,16 @@ def _tags_valid(sf_dir: str, tagger: str):
     })
     cls = {"hmm": HMMTagger, "crf": CRFTagger,
            "transformer": TransformerTagger}[tagger]
-    # from_arrow yields ONE block; split it or the actor pool idles.
-    # Pool sized to the BLOCK COUNT, not the cluster: a 200-sentence
-    # validation split is 1 block, and 24 idle actors each paying the
-    # CRF table compile in __init__ were pure window spin-up (the
-    # kg_dataset input-size cap, NOTES #122).
-    n_blocks = max(1, min(_auto_concurrency()[0], src.num_rows // 256))
-    ds = rd.from_arrow(src).repartition(n_blocks).map_batches(
+    # from_arrow yields ONE block; split it into one block per actor or
+    # the pool idles.  The input cap keeps a 200-sentence split from
+    # paying the CRF table compile in __init__ on idle actors (NOTES #122).
+    (n_actors,) = pool_budget(f"{tagger}_tags_valid",
+                              {"tagger": (TAGGER_EIGHTHS[tagger], 256)},
+                              src.num_rows)
+    ds = rd.from_arrow(src).repartition(n_actors).map_batches(
         cls, fn_constructor_kwargs={"model_paths": _model_paths(model_dir, tagger)},
         batch_format="pyarrow", batch_size=512,
-        concurrency=n_blocks, num_cpus=1)
+        concurrency=n_actors, num_cpus=1)
 
     def explode(batch: pa.Table) -> pa.Table:
         sids, tidx, toks, tags = [], [], [], []

@@ -2,7 +2,8 @@
 
 Plain run: executes the headline KG pipeline (pages → graph parquet)
 over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) under
-``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or 32)``, then a
+``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or the cores in
+this process's CPU affinity mask)``, then a
 family-round-robin walk of the ``queries()`` registry under a
 wall-clock budget (``$GRAFT_BENCH_BUDGET_S``, default 600 s).  Prints
 the result JSON line
@@ -38,7 +39,7 @@ def _sf_dir() -> str:
 
 
 def _num_cpus() -> int:
-    return int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    return int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 
 def _scaling_pages() -> int:

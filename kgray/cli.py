@@ -31,7 +31,8 @@ def _ray_init():
     if not ray.is_initialized():
         import os
         ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                             len(os.sched_getaffinity(0)))),
                  include_dashboard=False, ignore_reinit_error=True,
                  logging_level="ERROR")
     import logging

@@ -1785,24 +1785,12 @@ def kg_entity_cooccurrence(sf_dir: str, k_top: int = 40,
     from ..stages.aggregate import sorted_group_aggregate
     from ..stages.kg import _scheme
     from ..sources.derived import corpus_for_sf, models_for_corpus
-    from .kg import _auto_concurrency, _model_paths, kg_dataset, page_files
-    from ..stages.extract import extract_text, split_sentences
-    from ..stages.tagger import HMMTagger
+    from .kg import kg_dataset, page_files
 
     corpus = corpus_for_sf(sf_dir)
     model_dir = models_for_corpus(corpus, tagger="hmm")
-    ds = rd.read_parquet(page_files(corpus),
-                         columns=["url", "html", "lang"])
-    ds = ds.map_batches(extract_text, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    ds = ds.map_batches(split_sentences, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    ds = ds.map_batches(
-        HMMTagger,
-        fn_constructor_kwargs={"model_paths": _model_paths(model_dir,
-                                                           "hmm")},
-        batch_format="pyarrow", batch_size=1024,
-        concurrency=_auto_concurrency()[0], num_cpus=1)
+    ds = kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm",
+                    until="tagged")
 
     def pairs(b: pa.Table) -> pa.Table:
         kk, ka, kb, nn = [], [], [], []
@@ -2242,22 +2230,6 @@ def kg_entity_distance(sf_dir: str, n_seeds: int = 8,
         "bfs_converged": pa.array([int(converged)] * k, type=pa.int64())})
 
 
-def _zh_pool_sizes(rows):
-    """(tagger, linker) pool sizes for the zh path: tagger capped by
-    the zh slice's row count, linker by the _auto_concurrency pair —
-    which is sized to fit the CPU budget together with a CPU left free
-    for the read tasks.  The invariant tagger + linker < cluster CPUs
-    is pinned by tests: two fixed-size pools that cannot all start
-    deadlock the streaming executor (NOTES #139)."""
-    from .kg import _auto_concurrency
-
-    auto_t, auto_l = _auto_concurrency()
-    conc = (auto_t if rows is None
-            else max(2, min(auto_t, rows // 3 // 128 + 1)))
-    linker = max(1, min(auto_l, (conc + 1) // 2))
-    return conc, linker
-
-
 def kg_graph_zh(sf_dir: str):
     """The canonical graph restricted to CHINESE pages — the
     zh-language path (BMES tagging scheme, zh tokenizer, zh HMM model)
@@ -2268,48 +2240,12 @@ def kg_graph_zh(sf_dir: str):
     is the standard pipeline.  Fixture oracle."""
     from ..sources.derived import corpus_for_sf, models_for_corpus
     from ..stages.canonical import canonical_graph
-    from ..stages.extract import extract_text, split_sentences
-    from ..stages.kg import extract_triples, LinkerActor
-    from ..stages.tagger import HMMTagger
-    from ..sources.corpus import load_side_tables
-    from .kg import _auto_concurrency, _model_paths, page_files
-
-    import pyarrow.parquet as _pq
-    import ray
+    from .kg import kg_dataset, page_files
 
     corpus = corpus_for_sf(sf_dir)
     model_dir = models_for_corpus(corpus, tagger="hmm")
-    files = page_files(corpus)
-    # pool sized to the zh slice (~1/3 of pages), the kg_dataset rule.
-    # CRITICAL: tagger + linker pools must fit the CPU budget TOGETHER
-    # — the auto pair (tagger, linker) is sized to leave a CPU free,
-    # and the linker cap comes from auto[1], NOT conc//2: sizing the
-    # linker off the tagger count alone requested 24+12=36 actors on a
-    # 32-CPU cluster at sf0.1, and two fixed-size pools that cannot
-    # all start deadlock the streaming executor (found by the bench
-    # slice watchdog: kg_graph_zh hung only at sf0.1, where the
-    # row-count cap stops biting).
-    rows = (sum(_pq.ParquetFile(f).metadata.num_rows for f in files)
-            if len(files) <= 16 else None)
-    conc, linker_conc = _zh_pool_sizes(rows)
-    ds = (rd.read_parquet(files,
-                          columns=["url", "html", "lang"],
-                          ray_remote_args={"num_cpus": 0.25})
-          .filter(expr="lang == 'zh'")
-          .map_batches(extract_text, batch_format="pyarrow",
-                       zero_copy_batch=True)
-          .map_batches(split_sentences, batch_format="pyarrow",
-                       zero_copy_batch=True)
-          .map_batches(HMMTagger, fn_constructor_kwargs={
-              "model_paths": _model_paths(model_dir, "hmm")},
-              batch_format="pyarrow", batch_size=1024,
-              concurrency=conc, num_cpus=1)
-          .map_batches(extract_triples, batch_format="pyarrow",
-                       zero_copy_batch=True)
-          .map_batches(LinkerActor, fn_constructor_kwargs={
-              "corpus_dir": corpus},
-              batch_format="pyarrow", batch_size=4096,
-              concurrency=linker_conc, num_cpus=1))
+    ds = kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm",
+                    lang="zh")
     return canonical_graph(ds).drop_columns(["sample_urls"]).sort("subj")
 
 
@@ -2325,10 +2261,7 @@ def _surface_triples_for_sf(sf_dir: str, tagger: str = "hmm"):
 
     from ..sources.derived import (corpus_for_sf, corpus_content_tag,
                                    models_for_corpus)
-    from ..stages.extract import extract_text, split_sentences
-    from ..stages.kg import extract_triples
-    from ..stages.tagger import HMMTagger, CRFTagger, TransformerTagger
-    from .kg import _auto_concurrency, _model_paths, page_files
+    from .kg import kg_dataset, page_files
 
     corpus = corpus_for_sf(sf_dir)
     model_dir = models_for_corpus(corpus, tagger=tagger)
@@ -2339,23 +2272,8 @@ def _surface_triples_for_sf(sf_dir: str, tagger: str = "hmm"):
         os.makedirs(os.path.dirname(out), exist_ok=True)
         tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".",
                                dir=os.path.dirname(out))
-        cls = {"hmm": HMMTagger, "crf": CRFTagger,
-               "transformer": TransformerTagger}[tagger]
-        files = page_files(corpus)
-        conc = _auto_concurrency()[0]
-        ds = (rd.read_parquet(files, columns=["url", "html", "lang"],
-                              ray_remote_args={"num_cpus": 0.25})
-              .map_batches(extract_text, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .map_batches(split_sentences, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .map_batches(cls, fn_constructor_kwargs={
-                  "model_paths": _model_paths(model_dir, tagger)},
-                  batch_format="pyarrow", batch_size=1024,
-                  concurrency=min(conc, max(2, len(files))), num_cpus=1)
-              .map_batches(extract_triples, batch_format="pyarrow",
-                           zero_copy_batch=True))
-        ds.write_parquet(tmp)
+        kg_dataset(page_files(corpus), corpus, model_dir, tagger=tagger,
+                   until="surface").write_parquet(tmp)
         with open(os.path.join(tmp, "_DONE"), "w") as f:
             f.write("ok\n")
         try:
@@ -2423,6 +2341,7 @@ def kg_alias_patch(sf_dir: str, n_patch: int = 5, plan: str = "incremental"):
     from ..sources.derived import corpus_for_sf
     from ..stages.canonical import canonical_graph
     from ..stages.kg import LinkerActor
+    from .kg import pool_budget
 
     assert plan in ("incremental", "full")
     corpus = corpus_for_sf(sf_dir)
@@ -2436,16 +2355,22 @@ def kg_alias_patch(sf_dir: str, n_patch: int = 5, plan: str = "incremental"):
 
     surface = _surface_triples_for_sf(sf_dir)
 
-    def relink(ds):
+    def relink(ds, rows):
+        # one actor per 4096-row batch: each actor loads the side tables
+        # in __init__, and an actor with no batch of its own only adds
+        # that load (sf0.01 on 8 Ray CPUs over 4 cores: 6 actors took
+        # 12.3 s, 2 took 7.9 s)
+        (n_actors,) = pool_budget(f"kg_alias_patch(plan={plan!r}) relink",
+                                  {"linker": (8, 4096)}, rows)
         return ds.map_batches(
             LinkerActor,
             fn_constructor_kwargs={"corpus_dir": corpus,
                                    "alias_patch": alias_patch},
             batch_format="pyarrow", batch_size=4096,
-            concurrency=2, num_cpus=1)
+            concurrency=n_actors, num_cpus=1)
 
     if plan == "full":
-        linked = relink(surface)
+        linked = relink(surface, surface.count())    # parquet footers
     else:
         pset_ref = ray.put(patched_set)
 
@@ -2482,7 +2407,8 @@ def kg_alias_patch(sf_dir: str, n_patch: int = 5, plan: str = "incremental"):
         keep_rows = _linked_triples_for_sf(sf_dir).map_batches(
             split(keep=True), batch_format="pyarrow")
         relinked = relink(surface.map_batches(split(keep=False),
-                                              batch_format="pyarrow"))
+                                              batch_format="pyarrow"),
+                          len(hit))
         linked = keep_rows.union(relinked)
 
     return canonical_graph(linked).drop_columns(["sample_urls"])         .sort("subj")

@@ -1,19 +1,20 @@
 """The flagship pipeline: web pages → knowledge graph.
 
-Lifecycle (SURVEY.md §3.5):
+Lifecycle (SURVEY.md §3.5), built by :func:`kg_dataset`:
 
-    read_parquet(pages shards)                      [stateless read tasks]
+    read_parquet(pages shards)                      [0.25-CPU read tasks]
       → map_batches(extract_text)                   [stateless]
       → map_batches(split_sentences)                [stateless explode]
-      → map_batches(HMMTagger, concurrency=N)       [actor pool, NumPy params]
-      → map_batches(extract_triples)                [stateless pattern rules]
-      → map_batches(LinkerActor, concurrency=N)     [actor pool, broadcast aliases]
+      → map_batches(HMMTagger)                      [actor pool, NumPy params]   until="tagged"
+      → map_batches(extract_triples)                [stateless pattern rules]    until="surface"
+      → map_batches(LinkerActor)                    [actor pool, broadcast aliases]
       → write_parquet(out/triples/group=<gid>/)     [per-group sink]
     …then over all group outputs:
       canonical_graph (salted 2-stage groupby) → sort(subj) → graph parquet
 
-Each completed partition group appends a lineage record (counters,
-files, wall time) to the manifest; a rerun skips ``done`` groups
+Both actor pools are sized together by :func:`pool_budget`.  Each
+completed partition group appends a lineage record (counters, files,
+wall time) to the manifest; a rerun skips ``done`` groups
 (`resumable`).  Model artifacts are built once on the driver (training
 data is small — the reference trains serially too, hmm_ner.py:9-124;
 only inference scales out) and loaded per actor.
@@ -35,7 +36,7 @@ from ..kernels import crf as crf_kernel, hmm as hmm_kernel
 from ..kernels.linking import EMB_DIM, link_surface
 from ..kernels.triples import extract_sentence_triples, sentence_mentions
 from ..sources.corpus import load_side_tables
-from ..stages.canonical import canonical_graph
+from ..stages.canonical import add_subj_bucket, canonical_graph
 from ..stages.extract import extract_text, split_sentences, tokenize_line
 from ..stages.kg import LinkerActor, extract_triples
 from ..stages.tagger import CRFTagger, HMMTagger, TransformerTagger
@@ -43,7 +44,8 @@ from ..state.counters import counting_passthrough, new_counter
 from ..state.manifest import Manifest
 
 __all__ = ["build_models", "kg_dataset", "run_kg", "serial_oracle_triples",
-           "page_files", "partition_groups", "page_site_counts"]
+           "page_files", "partition_groups", "page_site_counts",
+           "pool_budget", "PoolBudgetError", "TAGGER_EIGHTHS", "LINKER_POOL"]
 
 
 # --------------------------------------------------------------------------- models
@@ -131,49 +133,79 @@ def partition_groups(files: list, files_per_group: int = 2) -> list:
     return groups
 
 
-def _auto_concurrency(tagger_eighths: int = 6):
-    """Size the actor pools to the measured work split (extract/split
-    fuse INTO the tagger actors, extract_triples into the linker's):
-    tagger ≈ ``tagger_eighths``/8 of the CPUs, linker the rest minus
-    one — one CPU always stays unreserved or the stateless read tasks
-    starve and the pipeline stalls (A/B-measured round 2: (24,7) beats
-    the old (16,8) by ~40% at 32 CPUs; full reservation deadlocks
-    at 8).  HMM decode is light → 6/8 (≡ the measured 3/4 split); CRF
-    decode does ~6.8× the linker's CPU (ds.stats(), 480k pages) → 7/8."""
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    tagger = max(1, (tagger_eighths * cpus) // 8)
-    linker = max(1, cpus - tagger - 1)
-    if tagger + linker >= cpus and tagger > 1:
-        tagger = max(1, cpus - linker - 1)
-    return tagger, linker
+class PoolBudgetError(RuntimeError):
+    """The actor pools of a plan cannot all start on this cluster."""
+
+
+# tagger pool's CPU share: HMM decode is light → 6/8 (A/B-measured
+# round 2: (24, 7) beats (16, 8) by ~40% at 32 CPUs); CRF decode does
+# ~6.8× the linker's CPU (ds.stats(), 480k pages) → 7/8
+TAGGER_EIGHTHS = {"hmm": 6, "crf": 7, "transformer": 7}
+# the linker takes the CPUs the tagger leaves; one actor per 512 input rows
+LINKER_POOL = (8, 512)
+
+
+def pool_budget(plan: str, pools: dict, rows: int | None = None) -> list:
+    """Actor-pool sizes for the co-scheduled ``pools`` of one plan.
+
+    ``pools`` maps each pool's name, upstream first, to ``(eighths,
+    rows_per_actor)``: the pool asks for ``eighths``/8 of the cluster
+    CPUs and, when the plan's input row count ``rows`` is known, for
+    at most one actor per ``rows_per_actor`` rows (``None``: no input
+    cap — spinning 24+7 actors for two batches of work costs more than
+    the work, A/B at sf0.001: 7.2 s vs 2.7 s).  Every actor holds one
+    whole CPU; earlier pools leave one actor's room for each later one.
+    A lone pool is sized like the first of two: the CPU a second pool
+    would hold stays with the plan's stateless stages (2 actors at 4
+    CPUs, 6 at 8, 24 at 32), yet one actor still starts at 2 CPUs.
+
+    Invariant: the pools of a plan sum to at most cluster CPUs − 1.
+    The free CPU runs the 0.25-CPU read tasks that feed the pools;
+    without it, or with fixed-size pools that cannot all start, the
+    streaming executor makes no progress and never raises (measured:
+    tagger 2 + linker 1 at 3 CPUs, tagger 1 + linker 1 at 2 CPUs).
+    No pool is sized below one actor, so when one actor per pool plus
+    the free CPU do not fit, this raises :class:`PoolBudgetError`
+    naming the plan, the pool sizes and the CPU count instead of
+    returning a plan that cannot start.
+    """
+    cpus = int(ray.cluster_resources().get("CPU", 0))
+    free = cpus - 1
+    if free < len(pools):
+        wanted = ", ".join(f"{name} 1" for name in pools)
+        raise PoolBudgetError(
+            f"{plan}: actor pools ({wanted}) need {len(pools) + 1} CPUs "
+            f"with one left free for the read tasks; the cluster has {cpus}")
+    sizes, n_room = [], max(2, len(pools))
+    for i, (eighths, rows_per_actor) in enumerate(pools.values()):
+        n = max(1, min(free - sum(sizes) - (n_room - 1 - i),
+                       eighths * cpus // 8))
+        if rows is not None and rows_per_actor:
+            n = min(n, rows // rows_per_actor + 1)
+        sizes.append(n)
+    return sizes
 
 
 def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
-               concurrency=None, batch_size: int = 1024, counter=None):
-    """Build the lazy Dataset pipeline pages → linked triples.
-
-    ``concurrency``: None → auto-size from cluster CPUs; an int n →
-    (tagger n, linker max(1, n//2)); a tuple → used for both pools.
-    """
-    if concurrency is None:
-        tagger_conc, linker_conc = _auto_concurrency(
-            7 if tagger in ("crf", "transformer") else 6)
-        # Cap the pools by input size: a 240-page corpus gets 2 batches
-        # of work, and spinning 24+7 actors for it costs more than the
-        # tagging (A/B at sf0.001: 7.2 s auto vs 2.7 s capped).  Row
-        # counts come from parquet footers (metadata-only reads); a
-        # >16-file input is assumed large and keeps the full pools.
-        if len(files) <= 16:
-            rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-            tagger_conc = max(2, min(tagger_conc, rows // 128 + 1))
-            linker_conc = max(1, min(linker_conc, rows // 512 + 1))
-    elif isinstance(concurrency, int):
-        tagger_conc, linker_conc = concurrency, max(1, concurrency // 2)
-    else:
-        tagger_conc = linker_conc = concurrency
+               lang: str | None = None, until: str = "linked",
+               batch_size: int = 1024, counter=None):
+    """Build the lazy Dataset pipeline pages → tagged sentences
+    (``until="tagged"``), surface triples (``"surface"``) or linked
+    triples (``"linked"``).  ``lang`` keeps only the pages of that
+    language; the filter runs right after the page scan, before any
+    decode work.  The pools' input cap counts the rows of every
+    language (parquet footers), so with ``lang`` it is an upper bound."""
+    if until not in ("tagged", "surface", "linked"):
+        raise ValueError(f"kg_dataset: unknown until={until!r}")
+    pools = {"tagger": (TAGGER_EIGHTHS[tagger], 128)}
+    if until == "linked":
+        pools["linker"] = LINKER_POOL
+    # row counts come from parquet footers (metadata-only reads)
+    rows = sum(pq.read_metadata(f).num_rows for f in files)
+    sizes = pool_budget(f"kg_dataset(tagger={tagger!r}, until={until!r})",
+                        pools, rows)
     tagger_cls = {"hmm": HMMTagger, "crf": CRFTagger,
                   "transformer": TransformerTagger}[tagger]
-    model_paths = _model_paths(model_dir, tagger)
 
     # fractional-CPU read tasks: the actor pools reserve all but one
     # CPU, and a whole-CPU read would serialize on that single slot —
@@ -181,6 +213,8 @@ def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
     # CPU four reads co-schedule per free slot and the pools stay fed.
     ds = rd.read_parquet(files, columns=["url", "html", "lang"],
                          ray_remote_args={"num_cpus": 0.25})
+    if lang is not None:
+        ds = ds.filter(expr=f"lang == {lang!r}")
     if counter is not None:
         ds = ds.map_batches(counting_passthrough(counter, "pages"),
                             batch_format="pyarrow", zero_copy_batch=True)
@@ -189,20 +223,25 @@ def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
     if counter is not None:
         ds = ds.map_batches(counting_passthrough(counter, "sentences"),
                             batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(tagger_cls, fn_constructor_kwargs={"model_paths": model_paths},
+    ds = ds.map_batches(tagger_cls, fn_constructor_kwargs={
+                            "model_paths": _model_paths(model_dir, tagger)},
                         batch_format="pyarrow", batch_size=batch_size,
-                        concurrency=tagger_conc, num_cpus=1)
+                        concurrency=sizes[0], num_cpus=1)
+    if until == "tagged":
+        return ds
     ds = ds.map_batches(extract_triples, batch_format="pyarrow", zero_copy_batch=True)
     if counter is not None:
         ds = ds.map_batches(counting_passthrough(counter, "triples_raw"),
                             batch_format="pyarrow", zero_copy_batch=True)
+    if until == "surface":
+        return ds
     # side tables load per actor from the corpus path (restart-safe;
     # see LinkerActor docstring re ray#53727) — never ray.put refs in
     # actor constructor args
     ds = ds.map_batches(LinkerActor,
                         fn_constructor_kwargs={"corpus_dir": corpus_dir},
                         batch_format="pyarrow", batch_size=4096,
-                        concurrency=linker_conc, num_cpus=1)
+                        concurrency=sizes[1], num_cpus=1)
     return ds
 
 
@@ -211,14 +250,14 @@ def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
 
 def run_kg(corpus_dir: str, out_dir: str, model_dir: str | None = None,
            tagger: str = "hmm", files_per_group: int = 2,
-           concurrency=None, batch_size: int = 1024,
+           batch_size: int = 1024,
            n_salts: int = 16, stop_after_groups: int | None = None,
            graph_buckets: int = 16) -> dict:
     """Full driver loop: partition groups → triples parquet (+ manifest)
     → salted canonicalization → bucketed sorted graph parquet.
 
     The graph sink is ``graph/subj_bucket=<b>/`` hash-bucketed on the
-    subject (``stable_hash64(subj) % graph_buckets``), subj-sorted
+    subject (``polyhash64(subj) % graph_buckets``), subj-sorted
     within each bucket: a consumer looking up one subject reads exactly
     one partition directory, and a failed write reruns per bucket.
     ``stop_after_groups`` simulates a killed run for the resume test.
@@ -249,8 +288,7 @@ def run_kg(corpus_dir: str, out_dir: str, model_dir: str | None = None,
         # partials or the rerun double-counts triples
         shutil.rmtree(group_dir, ignore_errors=True)
         ds = kg_dataset(files, corpus_dir, model_dir, tagger=tagger,
-                        concurrency=concurrency, batch_size=batch_size,
-                        counter=counter)
+                        batch_size=batch_size, counter=counter)
         ds = ds.map_batches(counting_passthrough(counter, "triples_linked"),
                             batch_format="pyarrow", zero_copy_batch=True)
         ds.write_parquet(group_dir)
@@ -294,17 +332,7 @@ def run_kg(corpus_dir: str, out_dir: str, model_dir: str | None = None,
     linked = rd.read_parquet(triples_root)
     graph = canonical_graph(linked, n_salts=n_salts)
 
-    def add_bucket(batch):
-        import numpy as np
-        import pyarrow as pa
-        from ..functions.hashing import polyhash64_batch
-        b = (polyhash64_batch(batch.column("subj"))
-             % np.uint64(graph_buckets)).astype(np.int32)
-        return batch.append_column("subj_bucket", pa.array(b, type=pa.int32()))
-
-    graph = (graph.map_batches(add_bucket, batch_format="pyarrow",
-                               zero_copy_batch=True)
-             .sort(["subj_bucket", "subj"]))
+    graph = add_subj_bucket(graph, graph_buckets).sort(["subj_bucket", "subj"])
     graph.write_parquet(graph_dir, partition_cols=["subj_bucket"])
     stats["graph_dir"] = graph_dir
     stats["graph_wall_sec"] = round(time.perf_counter() - t0, 3)

@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from .kg import pool_budget
+
 __all__ = ["decode_image", "byte_histogram", "BinaryFeaturizer",
            "binary_features", "synth_bmp_payload", "synth_wav_payload",
            "ImageFeaturizer", "AudioFeaturizer", "image_features",
@@ -24,6 +26,14 @@ __all__ = ["decode_image", "byte_histogram", "BinaryFeaturizer",
            "video_features"]
 
 N_BUCKETS = 16
+
+
+def _featurizer_pool(plan: str, concurrency: int | None) -> int:
+    """``concurrency`` when the caller fixes it, else the budgeted size
+    of the plan's one featurizer pool (the HMM tagger's 6/8 share)."""
+    if concurrency is not None:
+        return concurrency
+    return pool_budget(plan, {"featurizer": (6, None)})[0]
 
 
 def decode_image(payload: bytes):
@@ -78,14 +88,12 @@ def binary_features(pages, concurrency: int | None = None, batch_size: int = 256
     ``batch_size`` to the payloads: batch_size × payload × concurrency
     must fit the workers' heap (e.g. 16 for 10 MB images).
     """
-    if concurrency is None:
-        from .kg import _auto_concurrency
-        concurrency = _auto_concurrency()[0]        # ≈ half the CPUs
     ds = pages if hasattr(pages, "map_batches") else \
         rd.read_parquet(pages, columns=["url", column])
     return ds.map_batches(BinaryFeaturizer, fn_constructor_kwargs={"column": column},
                           batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency, num_cpus=1)
+                          concurrency=_featurizer_pool("binary_features", concurrency),
+                          num_cpus=1)
 
 
 # ------------------------------------------------------------------
@@ -212,23 +220,19 @@ def _synth_binary_column(sf_dir: str, synth_fn):
 def image_features(sf_dir: str, concurrency: int | None = None):
     """Real image pipeline over uncompressed BMP payloads: synthesize →
     binary column → actor-pool decode/resize/featurize."""
-    if concurrency is None:
-        from .kg import _auto_concurrency
-        concurrency = _auto_concurrency()[0]
     return _synth_binary_column(sf_dir, synth_bmp_payload).map_batches(
         ImageFeaturizer, batch_format="pyarrow", batch_size=128,
-        concurrency=concurrency, num_cpus=1)
+        concurrency=_featurizer_pool("image_features", concurrency),
+        num_cpus=1)
 
 
 def audio_features(sf_dir: str, concurrency: int | None = None):
     """Real audio pipeline over PCM WAV payloads: synthesize → binary
     column → actor-pool decode/featurize."""
-    if concurrency is None:
-        from .kg import _auto_concurrency
-        concurrency = _auto_concurrency()[0]
     return _synth_binary_column(sf_dir, synth_wav_payload).map_batches(
         AudioFeaturizer, batch_format="pyarrow", batch_size=128,
-        concurrency=concurrency, num_cpus=1)
+        concurrency=_featurizer_pool("audio_features", concurrency),
+        num_cpus=1)
 
 
 def synth_video_payload(doc_id: int) -> bytes:
@@ -296,13 +300,11 @@ def video_features(sf_dir: str, concurrency: int | None = None,
                    stride: int = 2):
     """Real video pipeline over KGV1 clips: synthesize → binary column
     → actor-pool seekable frame-sample + decode + featurize."""
-    if concurrency is None:
-        from .kg import _auto_concurrency
-        concurrency = _auto_concurrency()[0]
     return _synth_binary_column(sf_dir, synth_video_payload).map_batches(
         VideoFeaturizer, fn_constructor_kwargs={"stride": stride},
         batch_format="pyarrow", batch_size=64,
-        concurrency=concurrency, num_cpus=1)
+        concurrency=_featurizer_pool("video_features", concurrency),
+        num_cpus=1)
 
 
 # ------------------------------------------------------------------
@@ -386,12 +388,11 @@ class ImageDHasher:
 def image_dhash_signatures(sf_dir: str, concurrency: int | None = None):
     """(doc_id, dhash) over the near-dup-planted BMP corpus — synthesize
     → binary column through the object store → actor-pool decode+hash."""
-    if concurrency is None:
-        from .kg import _auto_concurrency
-        concurrency = _auto_concurrency()[0]
     return _synth_binary_column(sf_dir, synth_bmp_payload_neardup) \
         .map_batches(ImageDHasher, batch_format="pyarrow", batch_size=128,
-                     concurrency=concurrency, num_cpus=1)
+                     concurrency=_featurizer_pool("image_dhash_signatures",
+                                                  concurrency),
+                     num_cpus=1)
 
 
 def image_phash_pairs(sf_dir: str, max_hamming: int = 3,
@@ -488,11 +489,11 @@ def audio_fingerprint_pairs(sf_dir: str, max_hamming: int = 3,
     pinned by the brute-force parity test.  Payload bytes never enter
     the exchange: only (doc_id, 64-bit fingerprint) rows shuffle."""
     from .dedup import hamming_lsh_pairs
-    from .kg import _auto_concurrency
 
     sigs = _synth_binary_column(sf_dir, synth_wav_payload_neardup) \
         .map_batches(AudioFingerprinter, batch_format="pyarrow",
-                     batch_size=128, concurrency=_auto_concurrency()[0],
+                     batch_size=128,
+                     concurrency=_featurizer_pool("audio_fingerprint_pairs", None),
                      num_cpus=1).materialize()
     return hamming_lsh_pairs(sigs, "doc_id", "afp", "doc_a", "doc_b",
                              max_hamming=max_hamming,
@@ -577,9 +578,9 @@ def video_scene_changes(sf_dir: str, concurrency: int | None = None):
     synthesize → binary column → actor-pool decode + integer delta
     detector.  Detection quality (planted cuts found, negatives clean)
     is pinned in tests; the gate pins exact output."""
-    if concurrency is None:
-        from .kg import _auto_concurrency
-        concurrency = _auto_concurrency()[0]
     return _synth_binary_column(sf_dir, synth_video_payload_scenes) \
         .map_batches(SceneChangeDetector, batch_format="pyarrow",
-                     batch_size=64, concurrency=concurrency, num_cpus=1)
+                     batch_size=64,
+                     concurrency=_featurizer_pool("video_scene_changes",
+                                                  concurrency),
+                     num_cpus=1)

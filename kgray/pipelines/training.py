@@ -467,6 +467,7 @@ def transformer_trained_tags(sf_dir: str, epochs: int = 3,
 
     from ..sources.derived import corpus_for_sf
     from ..stages.tagger import TransformerTagger
+    from .kg import TAGGER_EIGHTHS, pool_budget
 
     import ray
 
@@ -497,10 +498,14 @@ def transformer_trained_tags(sf_dir: str, epochs: int = 3,
             "pred_tags": pa.array([" ".join(p) for p in pred],
                                   type=pa.string())})
 
-    ds = rd.from_arrow(src).map_batches(
+    # from_arrow yields ONE block: one block per actor keeps the pool busy
+    (n_actors,) = pool_budget("transformer_trained_tags", {
+        "tagger": (TAGGER_EIGHTHS["transformer"], 256)}, n)
+    ds = rd.from_arrow(src).repartition(n_actors).map_batches(
         TransformerTagger, fn_constructor_kwargs={
             "model_paths": {"en": model_path}},
-        batch_format="pyarrow", batch_size=64, concurrency=2, num_cpus=1)
+        batch_format="pyarrow", batch_size=64, concurrency=n_actors,
+        num_cpus=1)
     return ds.map_batches(score, batch_format="pyarrow",
                           zero_copy_batch=True).sort("sent_id")
 

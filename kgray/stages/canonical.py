@@ -44,7 +44,7 @@ from ..functions.hashing import (POLY_M1, POLY_M2, POLY_SEED1, POLY_SEED2,
                                  polyhash64_batch)
 
 __all__ = ["combine_triples_batch", "canonical_graph", "GRAPH_SCHEMA",
-           "entity_stats"]
+           "entity_stats", "add_subj_bucket"]
 
 GRAPH_SCHEMA = pa.schema([
     ("subj", pa.string()),
@@ -203,6 +203,19 @@ def canonical_graph(linked_ds, n_salts: int = 8, k_urls: int = 5,
     final = _final_merge(stage1, k_urls)
     return final.map_batches(lambda b: _bundle_to_list(b, k_urls),
                              batch_format="pyarrow")
+
+
+def add_subj_bucket(graph_ds, n_buckets: int):
+    """Append the graph sink's partition column ``subj_bucket =
+    polyhash64(subj) % n_buckets`` (int32): one subject's rows land in
+    exactly one ``subj_bucket=<b>/`` directory."""
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        b = (polyhash64_batch(batch.column("subj"))
+             % np.uint64(n_buckets)).astype(np.int32)
+        return batch.append_column("subj_bucket", pa.array(b, type=pa.int32()))
+
+    return graph_ds.map_batches(add_bucket, batch_format="pyarrow",
+                                zero_copy_batch=True)
 
 
 def entity_stats(linked_ds, n_salts: int = 16):

@@ -1,11 +1,12 @@
 """Stateful tagging stage: batched Viterbi through an actor pool.
 
 ``map_batches(HMMTagger, batch_format="pyarrow", batch_size=B,
-concurrency=(m, n), num_cpus=1)`` — model arrays load ONCE per actor in
-``__init__`` (the distributed analogue of the reference's single pickle
-load at predict start, ``hmm_ner.py:130-131`` / ``crf_ner.py:659-665``),
-then every ``__call__`` decodes one Arrow batch of sentences with the
-vectorized NumPy kernel.
+concurrency=n, num_cpus=1)`` with ``n`` from ``pipelines.kg.pool_budget``
+— model arrays load ONCE per actor in ``__init__`` (the distributed
+analogue of the reference's single pickle load at predict start,
+``hmm_ner.py:130-131`` / ``crf_ner.py:659-665``), then every
+``__call__`` decodes one Arrow batch of sentences with the vectorized
+NumPy kernel.
 
 Sentences whose ``lang`` has no model are tagged all-``"O"`` (no
 mentions downstream).

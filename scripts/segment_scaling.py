@@ -54,7 +54,7 @@ def _prep():
 def _worker() -> dict:
     import ray
 
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
@@ -107,8 +107,7 @@ def main():
         print(json.dumps(pairs[-1]))
     best = max(pairs, key=lambda p: p["efficiency"])
     print(json.dumps({"metric": "canon_segment_scaling", "pairs": pairs,
-                      "best": best, "graph_rows": run(hi)["graph_rows"]
-                      if False else None}))
+                      "best": best}))
 
 
 if __name__ == "__main__":

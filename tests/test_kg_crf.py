@@ -15,7 +15,7 @@ def test_crf_pipeline_matches_serial_oracle(ray_session, tiny_corpus_dir, tmp_pa
     kg.build_models(tiny_corpus_dir, model_dir, tagger="crf",
                     crf_epochs=2, crf_max_sentences=150)
     stats = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir, tagger="crf",
-                      concurrency=1, batch_size=256)
+                      batch_size=256)
     assert not stats["groups_remaining"]
     graph = {}
     for f in glob.glob(os.path.join(out, "graph", "**", "*.parquet"),

@@ -18,7 +18,7 @@ def kg_run(ray_session, tiny_corpus_dir, tmp_path_factory):
     model_dir = os.path.join(out, "models")
     kg.build_models(tiny_corpus_dir, model_dir, tagger="hmm")
     stats = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir,
-                      concurrency=1, batch_size=256)
+                      batch_size=256)
     return tiny_corpus_dir, out, model_dir, stats
 
 
@@ -102,20 +102,19 @@ def test_resume_skips_done_groups(ray_session, tiny_corpus_dir, tmp_path):
     kg.build_models(tiny_corpus_dir, model_dir, tagger="hmm")
     # "killed" run: only 1 group completes
     s1 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir,
-                   concurrency=1, stop_after_groups=1)
+                   stop_after_groups=1)
     assert len(s1["groups_run"]) == 1 and s1["groups_remaining"]
     # resume: runs only the remaining groups
-    s2 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir, concurrency=1)
+    s2 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir)
     assert set(s1["groups_run"]).isdisjoint(s2["groups_run"])
     assert not s2["groups_remaining"]
     # a third run recomputes nothing — extraction groups AND the graph step
-    s3 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir, concurrency=1)
+    s3 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir)
     assert not s3["groups_run"] and s3.get("graph_skipped") is True
     # final graph identical to a fresh uninterrupted run
     out2 = str(tmp_path / "kg_fresh")
     kg.build_models(tiny_corpus_dir, os.path.join(out2, "models"), tagger="hmm")
-    kg.run_kg(tiny_corpus_dir, out2, model_dir=os.path.join(out2, "models"),
-              concurrency=1)
+    kg.run_kg(tiny_corpus_dir, out2, model_dir=os.path.join(out2, "models"))
     assert _read_graph(out) == _read_graph(out2)
 
 
@@ -123,14 +122,22 @@ def test_resume_after_midgroup_crash(ray_session, tiny_corpus_dir, tmp_path):
     """A run killed MID-group leaves partial parquet under the group dir
     with no manifest record; the rerun must clear it, not accumulate
     alongside it (write_parquet adds files) — else triples double-count.
-    Same hazard for a graph dir written but not manifest-recorded."""
+    Same hazard for a graph dir written but not manifest-recorded, and
+    for a manifest record torn by a kill mid-append: that group reruns
+    and the torn bytes never glue onto the next record."""
+    import json
+
     import pyarrow as pa
 
     out = str(tmp_path / "kg_crash")
     model_dir = os.path.join(out, "models")
     kg.build_models(tiny_corpus_dir, model_dir, tagger="hmm")
-    # simulate the mid-group kill: stale partial output, no manifest line
-    stale = os.path.join(out, "triples", "group=g00000")
+    # the first group completes with a whole manifest record ...
+    s1 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir,
+                   stop_after_groups=1)
+    assert s1["groups_run"] == ["g00000"]
+    # ... then the kill hits the next one: stale partial output
+    stale = os.path.join(out, "triples", "group=g00001")
     os.makedirs(stale)
     pq.write_table(pa.table({"subj": ["STALE"], "pred": ["x"], "obj": ["y"],
                              "url": ["u"], "sent_id": pa.array([0], type=pa.int32()),
@@ -142,14 +149,24 @@ def test_resume_after_midgroup_crash(ray_session, tiny_corpus_dir, tmp_path):
     pq.write_table(pa.table({"subj": ["STALE"], "pred": ["x"], "obj": ["y"],
                              "support": pa.array([99], type=pa.int64())}),
                    os.path.join(stale_graph, "old.parquet"))
-    kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir, concurrency=1)
+    # and its manifest record torn mid-append (no newline)
+    manifest = os.path.join(out, "manifest.jsonl")
+    with open(manifest, "a") as f:
+        f.write('{"group_id": "g00001", "sta')
+    s2 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir)
+    assert s2["groups_skipped"] == ["g00000"]
+    assert s2["groups_run"] == ["g00001"]
     graph = _read_graph(out)
     assert ("STALE", "x", "y") not in graph
+    with open(manifest) as f:
+        text = f.read()
+    assert text.endswith("\n")
+    recs = [json.loads(line) for line in text.splitlines()]
+    assert [r["group_id"] for r in recs] == ["g00000", "g00001", "__graph__"]
     # identical to a clean run
     out2 = str(tmp_path / "kg_clean")
     kg.build_models(tiny_corpus_dir, os.path.join(out2, "models"), tagger="hmm")
-    kg.run_kg(tiny_corpus_dir, out2, model_dir=os.path.join(out2, "models"),
-              concurrency=1)
+    kg.run_kg(tiny_corpus_dir, out2, model_dir=os.path.join(out2, "models"))
     assert graph == _read_graph(out2)
 
 
@@ -175,7 +192,7 @@ def test_resume_from_foreign_process_manifest(ray_session, tiny_corpus_dir,
                  logging_level="ERROR")
         from kgray.pipelines import kg
         s = kg.run_kg({tiny_corpus_dir!r}, {out!r}, model_dir={model_dir!r},
-                      concurrency=1, stop_after_groups=1)
+                      stop_after_groups=1)
         print(json.dumps({{"run": s["groups_run"],
                            "remaining": s["groups_remaining"]}}))
         ray.shutdown()
@@ -189,7 +206,7 @@ def test_resume_from_foreign_process_manifest(ray_session, tiny_corpus_dir,
     first = json.loads(r.stdout.strip().splitlines()[-1])
     assert len(first["run"]) == 1 and first["remaining"]
     # resume in THIS process (different cwd), same out_dir
-    s2 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir, concurrency=1)
+    s2 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir)
     assert set(first["run"]).isdisjoint(s2["groups_run"])
     assert not s2["groups_remaining"]
     # final graph identical to a fresh uninterrupted run
@@ -197,5 +214,5 @@ def test_resume_from_foreign_process_manifest(ray_session, tiny_corpus_dir,
     kg.build_models(tiny_corpus_dir, os.path.join(out2, "models"),
                     tagger="hmm")
     kg.run_kg(tiny_corpus_dir, out2,
-              model_dir=os.path.join(out2, "models"), concurrency=1)
+              model_dir=os.path.join(out2, "models"))
     assert _read_graph(out) == _read_graph(out2)

@@ -84,20 +84,3 @@ def test_kg_entity_distance_dense_equals_shuffle(ray_session):
         .sort_values("seed").reset_index(drop=True)
     import pandas as pd
     pd.testing.assert_frame_equal(dense, shuffle)
-
-
-def test_zh_pool_sizes_fit_cpu_budget(ray_session):
-    """Two fixed-size actor pools that cannot all start deadlock the
-    streaming executor, so the zh path's tagger+linker sizes must fit
-    the cluster CPU budget together with a CPU left free for read
-    tasks — at EVERY input size (the sf0.1 hang happened because the
-    row-count cap stopped biting there; NOTES #139)."""
-    import ray
-
-    from kgray.pipelines.graph import _zh_pool_sizes
-
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    for rows in (None, 1, 384, 1_200, 48_000, 480_000, 10**12):
-        t, l = _zh_pool_sizes(rows)
-        assert t >= 1 and l >= 1
-        assert t + l < cpus, (rows, t, l, cpus)
