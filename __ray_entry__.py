@@ -62,19 +62,17 @@ def _kg_graph_compacted(sf_dir: str):
     import pyarrow as pa
     from kgray.pipelines.kg import kg_dataset, page_files
     from kgray.sources.derived import corpus_for_sf, models_for_corpus
-    from kgray.stages.canonical import add_subj_bucket, canonical_graph
+    from kgray.stages.canonical import canonical_graph
     from kgray.stages.compact import compact_partitioned
 
     corpus = corpus_for_sf(sf_dir)
     model_dir = models_for_corpus(corpus, tagger="hmm")
     ds = kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm")
-    graph = canonical_graph(ds).drop_columns(["sample_urls"])
+    graph = canonical_graph(ds, subj_buckets=8).drop_columns(["sample_urls"])
 
     out = tempfile.mkdtemp(prefix="kgray_compact_")
     try:
-        (add_subj_bucket(graph, 8)
-         .sort(["subj_bucket", "subj"])
-         .repartition(48)           # deliberately fragmented sink
+        (graph.repartition(48)      # deliberately fragmented sink
          .write_parquet(out, partition_cols=["subj_bucket"]))
         report = compact_partitioned(out, sort_keys=["subj"])
         assert all(after <= before for _, before, after in report)

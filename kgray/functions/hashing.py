@@ -17,10 +17,8 @@ __all__ = ["stable_hash64", "stable_hash_bytes", "salt_of", "hash_embedding",
            "POLY_M1", "POLY_M2", "POLY_SEED1", "POLY_SEED2"]
 
 # Odd 64-bit multipliers / seeds for the vectorized polynomial hash.
-# Two independent (mult, seed) pairs give a 2x64-bit composite key whose
-# collision probability is ~2^-128 per pair — past the 64-bit birthday
-# bound (~10^9 distinct keys) that VERDICT r2 flagged for the triple
-# canonicalization keys.
+# Two independent (mult, seed) pairs give two independent hashes of one
+# value (a 2x64-bit key, or a Bloom filter's two probes).
 POLY_M1 = np.uint64(0x100000001B3)          # FNV-1a prime
 POLY_SEED1 = np.uint64(0xCBF29CE484222325)  # FNV-1a offset basis
 POLY_M2 = np.uint64(0xC6A4A7935BD1E995)     # Murmur64A multiplier

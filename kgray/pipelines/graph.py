@@ -1577,31 +1577,33 @@ def kg_subgraph_export(sf_dir: str, n_seeds: int = 4, hops: int = 2):
 def kg_incremental_merge(sf_dir: str, n_delta_files: int = 1):
     """Incremental KG maintenance — the engine's answer to "a new crawl
     batch arrived": the canonicalization checkpoint is the (key, salt)
-    PARTIAL table (not the final graph — bottom-K url bundles do not
+    PARTIAL table (not the final graph — bottom-K url samples do not
     compose across graphs, per-salt minima do), so merging a delta is
-    one associative aggregate over ``checkpoint ∪ delta-partials``
-    followed by the normal final merge.  This query materializes the
-    old corpus's stage-1 partials as a parquet checkpoint (atomic
-    tmp+rename, content-fingerprint tag), streams the LAST
-    ``n_delta_files`` page file(s) through tag→link→combine as the
-    delta, merges, and emits the graph — the oracle is the kg_graph
-    FIXTURE itself, so the value hash PROVES the incremental plan is
-    lossless (the `kg_graph_compacted` discipline).
+    the normal graph exchange (``stages.canonical.merge_partials``)
+    over ``checkpoint ∪ delta-partials``.  This query writes the old
+    corpus's map-side partials as a parquet checkpoint (atomic
+    tmp+rename, content-fingerprint tag that includes the partial
+    schema version), streams the LAST ``n_delta_files`` page file(s)
+    through tag→link→combine as the delta, merges, and emits the graph
+    — the oracle is the kg_graph FIXTURE itself, so the value hash
+    PROVES the incremental plan is lossless (the `kg_graph_compacted`
+    discipline).
 
-    Scale: the old corpus is never re-tagged — only its reduced
-    partial table is read; the delta costs one pipeline pass over the
-    new pages; the merge aggregate is associative (sum/min), so the
-    law holds bitwise at any split point."""
-    import hashlib as _hl
+    Scale: the old corpus is never re-tagged — only its partial table
+    is read; the delta costs one pipeline pass over the new pages; the
+    merge is associative (sum/min), so the law holds bitwise at any
+    split point."""
+    import glob
     import os
     import shutil
+    import tempfile
 
     import ray.data as rd
 
-    from ..sources.derived import corpus_for_sf, models_for_corpus
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.canonical import (canonical_graph, combine_triples_batch,
-                                    _final_merge, _bundle_to_list)
+    from ..sources.derived import (corpus_content_tag, corpus_for_sf,
+                                   models_for_corpus)
+    from ..stages.canonical import (PARTIAL_VERSION, combine_triples_batch,
+                                    merge_partials)
     from .kg import kg_dataset, page_files
 
     corpus = corpus_for_sf(sf_dir)
@@ -1613,26 +1615,18 @@ def kg_incremental_merge(sf_dir: str, n_delta_files: int = 1):
     N_SALTS, K_URLS = 8, 5
 
     def partials(fs):
-        return kg_dataset(fs, corpus, model_dir, tagger="hmm"
-                          ).map_batches(
-            lambda b: combine_triples_batch(b, N_SALTS, K_URLS),
+        return kg_dataset(fs, corpus, model_dir, tagger="hmm").map_batches(
+            lambda b: combine_triples_batch(b, N_SALTS),
             batch_format="pyarrow", batch_size=65536)
 
-    stage1_aggs = [("support", "sum"), ("url_bundle", "min"),
-                   ("subj", "min"), ("pred", "min"), ("obj", "min")]
-    keys = ["k_hash", "k_hash2", "salt"]
-
-    from ..sources.derived import corpus_content_tag
     tag = corpus_content_tag(corpus, files=old_files,
-                             extra=f"{N_SALTS}|{K_URLS}")
+                             extra=f"{N_SALTS}|partials-v{PARTIAL_VERSION}")
     ckpt = f"/tmp/kgray_kg_ckpt/partials_{tag}"
     if not os.path.exists(os.path.join(ckpt, "_DONE")):
-        import tempfile
         os.makedirs(os.path.dirname(ckpt), exist_ok=True)
         tmp = tempfile.mkdtemp(prefix=os.path.basename(ckpt) + ".",
                                dir=os.path.dirname(ckpt))
-        sorted_group_aggregate(partials(old_files), keys, stage1_aggs,
-                               precombine=False).write_parquet(tmp)
+        partials(old_files).write_parquet(tmp)
         with open(os.path.join(tmp, "_DONE"), "w") as f:
             f.write("ok\n")
         try:
@@ -1640,19 +1634,9 @@ def kg_incremental_merge(sf_dir: str, n_delta_files: int = 1):
         except OSError:
             shutil.rmtree(tmp, ignore_errors=True)
 
-    import glob
-
-    import ray
-
     ckpt_files = sorted(glob.glob(os.path.join(ckpt, "*.parquet")))
     merged = rd.read_parquet(ckpt_files).union(partials(delta_files))
-    stage1 = sorted_group_aggregate(merged, keys, stage1_aggs,
-                                    precombine=False)
-    n_part = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    final = _final_merge(stage1.repartition(n_part), K_URLS)
-    graph = final.map_batches(lambda b: _bundle_to_list(b, K_URLS),
-                              batch_format="pyarrow")
-    _ = canonical_graph  # (full-recompute twin; the fixture pins parity)
+    graph = merge_partials(merged, K_URLS)
     return graph.drop_columns(["sample_urls"]).sort("subj")
 
 

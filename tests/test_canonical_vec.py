@@ -1,5 +1,5 @@
-"""Vectorized canonicalization (r3): polynomial-hash parity, the
-128-bit key discipline, and the batch-independent url-bundle sample."""
+"""Vectorized canonicalization: polynomial-hash parity, the map-side
+combiner's partial table, and the batch-independent url sample."""
 
 import numpy as np
 import pyarrow as pa
@@ -63,20 +63,28 @@ def _batch(rows):
 def test_combine_triples_batch_counts_and_keys():
     rows = [(f"http://x/{i % 3}", "A", "likes", "B") for i in range(10)]
     rows += [("http://y/1", "C", "in", "D")]
-    t = combine_triples_batch(_batch(rows), n_salts=4)
+    t = combine_triples_batch(_batch(rows), n_salts=4, subj_buckets=16)
     # partial rows: one per (triple, salt); support sums to the input
     assert t.column("support").to_pylist().count(1) >= 1
     assert sum(t.column("support").to_pylist()) == 11
-    by_key = {}
-    for k1, k2, s in zip(t.column("k_hash").to_pylist(),
-                         t.column("k_hash2").to_pylist(),
-                         t.column("subj").to_pylist()):
-        by_key.setdefault((k1, k2), s)
-    assert len(by_key) == 2        # two distinct triples -> two 128-bit keys
-    # url_bundle is the per-(triple,salt) MIN url (pure function of data)
+    keys = list(zip(t.column("subj").to_pylist(), t.column("pred").to_pylist(),
+                    t.column("obj").to_pylist(), t.column("salt").to_pylist()))
+    assert len(keys) == len(set(keys))       # one row per (triple, salt)
+    assert {k[:3] for k in keys} == {("A", "likes", "B"), ("C", "in", "D")}
+    assert all(0 <= k[3] < 4 for k in keys)
+    # the sink's bucket: polyhash64(subj) % subj_buckets, int32
+    assert t.schema.field("subj_bucket").type == pa.int32()
+    for s, b in zip(t.column("subj").to_pylist(),
+                    t.column("subj_bucket").to_pylist()):
+        assert b == polyhash64(s) % 16
+    # url_min is the per-(triple,salt) MIN url (pure function of data)
     for salt_rows in t.filter(
             pa.compute.equal(t.column("subj"), "A")).to_pylist():
-        assert salt_rows["url_bundle"].startswith("http://x/")
+        urls = {u for u, s, _, _ in rows if s == "A"
+                and combine_triples_batch(_batch([(u, "A", "likes", "B")]),
+                                          n_salts=4)["salt"][0].as_py()
+                == salt_rows["salt"]}
+        assert salt_rows["url_min"] == min(urls)
 
 
 def test_combine_triples_batch_empty():
@@ -86,8 +94,10 @@ def test_combine_triples_batch_empty():
                       "obj": pa.array([], type=pa.string())})
     t = combine_triples_batch(empty)
     assert t.num_rows == 0
-    assert t.schema.names == ["k_hash", "k_hash2", "salt", "subj", "pred",
-                              "obj", "support", "url_bundle"]
+    assert t.schema.names == ["subj_bucket", "subj", "pred", "obj", "salt",
+                              "support", "url_min"]
+    assert t.schema == combine_triples_batch(_batch(
+        [("http://x/1", "A", "likes", "B")])).schema
 
 
 # ----------------------------------------------------------- end-to-end

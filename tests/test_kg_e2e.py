@@ -94,6 +94,9 @@ def test_manifest_lineage(kg_run):
         assert os.path.isdir(r["output_dir"])
     graph_recs = [r for r in recs if r["group_id"] == "__graph__"]
     assert len(graph_recs) == 1 and graph_recs[0]["n_graph_rows"] > 0
+    g = graph_recs[0]
+    assert g["exchange_sec"] >= 0 and g["write_sec"] >= 0
+    assert g["exchange_sec"] + g["write_sec"] <= g["wall_sec"]
 
 
 def test_resume_skips_done_groups(ray_session, tiny_corpus_dir, tmp_path):
