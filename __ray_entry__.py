@@ -106,7 +106,7 @@ def _tags_valid(sf_dir: str, tagger: str):
     import ray.data as rd
     from kgray.pipelines.kg import TAGGER_EIGHTHS, _model_paths, pool_budget
     from kgray.sources.derived import corpus_for_sf, models_for_corpus
-    from kgray.stages.tagger import CRFTagger, HMMTagger, TransformerTagger
+    from kgray.stages.tagger import TAGGERS
 
     corpus = corpus_for_sf(sf_dir)
     model_dir = models_for_corpus(corpus, tagger=tagger)
@@ -117,16 +117,14 @@ def _tags_valid(sf_dir: str, tagger: str):
         "tokens": tbl["tokens"],
         "lang": pa.array(["en"] * tbl.num_rows),
     })
-    cls = {"hmm": HMMTagger, "crf": CRFTagger,
-           "transformer": TransformerTagger}[tagger]
     # from_arrow yields ONE block; split it into one block per actor or
     # the pool idles.  The input cap keeps a 200-sentence split from
     # paying the CRF table compile in __init__ on idle actors (NOTES #122).
-    (n_actors,) = pool_budget(f"{tagger}_tags_valid",
-                              {"tagger": (TAGGER_EIGHTHS[tagger], 256)},
-                              src.num_rows)
+    n_actors = pool_budget(f"{tagger}_tags_valid",
+                           (TAGGER_EIGHTHS[tagger], 256), src.num_rows)
     ds = rd.from_arrow(src).repartition(n_actors).map_batches(
-        cls, fn_constructor_kwargs={"model_paths": _model_paths(model_dir, tagger)},
+        TAGGERS[tagger],
+        fn_constructor_kwargs={"model_paths": _model_paths(model_dir, tagger)},
         batch_format="pyarrow", batch_size=512,
         concurrency=n_actors, num_cpus=1)
 

@@ -15,7 +15,7 @@ Layout:
     kgray.sources    deterministic synthetic corpus generator + read helpers
     kgray.stages     Ray Data map_batches stages and actor classes
     kgray.pipelines  end-to-end Dataset pipelines (kg, dedup, ann, text, relational)
-    kgray.state      lineage counters, checkpoint manifest, model artifacts
+    kgray.state      checkpoint manifest (lineage records), model artifacts
 """
 
 __version__ = "0.1.0"

@@ -2344,8 +2344,8 @@ def kg_alias_patch(sf_dir: str, n_patch: int = 5, plan: str = "incremental"):
         # in __init__, and an actor with no batch of its own only adds
         # that load (sf0.01 on 8 Ray CPUs over 4 cores: 6 actors took
         # 12.3 s, 2 took 7.9 s)
-        (n_actors,) = pool_budget(f"kg_alias_patch(plan={plan!r}) relink",
-                                  {"linker": (8, 4096)}, rows)
+        n_actors = pool_budget(f"kg_alias_patch(plan={plan!r}) relink",
+                               (8, 4096), rows)
         return ds.map_batches(
             LinkerActor,
             fn_constructor_kwargs={"corpus_dir": corpus,

@@ -2,21 +2,25 @@
 
 Lifecycle (SURVEY.md §3.5), built by :func:`kg_dataset`:
 
-    read_parquet(pages shards)                      [0.25-CPU read tasks]
-      → map_batches(extract_text)                   [stateless]
-      → map_batches(split_sentences)                [stateless explode]
-      → map_batches(HMMTagger)                      [actor pool, NumPy params]   until="tagged"
-      → map_batches(extract_triples)                [stateless pattern rules]    until="surface"
-      → map_batches(LinkerActor)                    [actor pool, broadcast aliases]
+    read_parquet(pages shards)                      ┐ 0.25-CPU tasks: the maps fuse
+      → map_batches(extract_text)                   │ into the read (into one task
+      → map_batches(split_sentences)                ┘ after it if Ray splits blocks)
+      → map_batches(TaggerLinker)                   [the one actor pool] per batch:
+            tag → extract_triples → link            NumPy tagger params, pattern
+                                                    rules, broadcast aliases
+                                                    (until="tagged": a tagger pool;
+                                                    "surface": + extract_triples)
       → write_parquet(out/triples/group=<gid>/)     [per-group sink]
     …then over all group outputs:
       canonical_graph: salted combine → ONE sort on (subj_bucket, subj,
       pred, obj, salt) → in-place boundary merge → graph parquet per
       subj_bucket, written in that order (no further sort)
 
-Both actor pools are sized together by :func:`pool_budget`.  Each
-completed partition group appends a lineage record (counters, files,
-wall time) to the manifest; a rerun skips ``done`` groups
+The pool is sized by :func:`pool_budget`.  Each completed partition
+group appends a lineage record to the manifest, read from the plan
+itself: pages from the group's parquet footers, sentences from the
+executed write's Ray Data stats, triples from the written files'
+footers (:func:`operator_stats`).  A rerun skips ``done`` groups
 (`resumable`).  Model artifacts are built once on the driver (training
 data is small — the reference trains serially too, hmm_ner.py:9-124;
 only inference scales out) and loaded per actor.
@@ -40,14 +44,14 @@ from ..kernels.triples import extract_sentence_triples, sentence_mentions
 from ..sources.corpus import load_side_tables
 from ..stages.canonical import canonical_graph
 from ..stages.extract import extract_text, split_sentences, tokenize_line
-from ..stages.kg import LinkerActor, extract_triples
-from ..stages.tagger import CRFTagger, HMMTagger, TransformerTagger
-from ..state.counters import counting_passthrough, new_counter
+from ..stages.kg import TaggerLinker, extract_triples
+from ..stages.tagger import TAGGERS
 from ..state.manifest import Manifest
 
 __all__ = ["build_models", "kg_dataset", "run_kg", "serial_oracle_triples",
            "page_files", "partition_groups", "page_site_counts",
-           "pool_budget", "PoolBudgetError", "TAGGER_EIGHTHS", "LINKER_POOL"]
+           "pool_budget", "PoolBudgetError", "TAGGER_EIGHTHS",
+           "operator_stats", "LineageError"]
 
 
 # --------------------------------------------------------------------------- models
@@ -136,115 +140,134 @@ def partition_groups(files: list, files_per_group: int = 2) -> list:
 
 
 class PoolBudgetError(RuntimeError):
-    """The actor pools of a plan cannot all start on this cluster."""
+    """The actor pool of a plan cannot start on this cluster."""
 
 
 # tagger pool's CPU share: HMM decode is light → 6/8 (A/B-measured
 # round 2: (24, 7) beats (16, 8) by ~40% at 32 CPUs); CRF decode does
 # ~6.8× the linker's CPU (ds.stats(), 480k pages) → 7/8
 TAGGER_EIGHTHS = {"hmm": 6, "crf": 7, "transformer": 7}
-# the linker takes the CPUs the tagger leaves; one actor per 512 input rows
-LINKER_POOL = (8, 512)
 
 
-def pool_budget(plan: str, pools: dict, rows: int | None = None) -> list:
-    """Actor-pool sizes for the co-scheduled ``pools`` of one plan.
+def pool_budget(plan: str, pool: tuple, rows: int | None = None) -> int:
+    """Actor count of the one actor pool of ``plan``.
 
-    ``pools`` maps each pool's name, upstream first, to ``(eighths,
-    rows_per_actor)``: the pool asks for ``eighths``/8 of the cluster
-    CPUs and, when the plan's input row count ``rows`` is known, for
-    at most one actor per ``rows_per_actor`` rows (``None``: no input
-    cap — spinning 24+7 actors for two batches of work costs more than
-    the work, A/B at sf0.001: 7.2 s vs 2.7 s).  Every actor holds one
-    whole CPU; earlier pools leave one actor's room for each later one.
-    A lone pool is sized like the first of two: the CPU a second pool
-    would hold stays with the plan's stateless stages (2 actors at 4
-    CPUs, 6 at 8, 24 at 32), yet one actor still starts at 2 CPUs.
+    ``pool`` is ``(eighths, rows_per_actor)``: the pool asks for
+    ``eighths``/8 of the cluster CPUs and, when the plan's input row
+    count ``rows`` is known, for at most one actor per
+    ``rows_per_actor`` rows (``None``: no input cap — spinning 24
+    actors for two batches of work costs more than the work, A/B at
+    sf0.001: 7.2 s vs 2.7 s).  Every actor holds one whole CPU, and the
+    pool leaves two CPUs to the plan's stateless stages (2 actors at 4
+    CPUs, 6 at 8, 30 at 32), yet one actor still starts at 2 CPUs.
 
-    Invariant: the pools of a plan sum to at most cluster CPUs − 1.
-    The free CPU runs the 0.25-CPU read tasks that feed the pools;
-    without it, or with fixed-size pools that cannot all start, the
-    streaming executor makes no progress and never raises (measured:
-    tagger 2 + linker 1 at 3 CPUs, tagger 1 + linker 1 at 2 CPUs).
-    No pool is sized below one actor, so when one actor per pool plus
-    the free CPU do not fit, this raises :class:`PoolBudgetError`
-    naming the plan, the pool sizes and the CPU count instead of
-    returning a plan that cannot start.
+    Invariant: the pool is at most cluster CPUs − 1.  The free CPU
+    runs the 0.25-CPU read tasks that feed the pool; without it a
+    fixed-size pool stalls the streaming executor, which never raises.
+    No pool is sized below one actor, so a 1-CPU cluster raises
+    :class:`PoolBudgetError` naming the plan and the CPU count instead
+    of returning a plan that cannot start.
     """
+    eighths, rows_per_actor = pool
     cpus = int(ray.cluster_resources().get("CPU", 0))
-    free = cpus - 1
-    if free < len(pools):
-        wanted = ", ".join(f"{name} 1" for name in pools)
+    if cpus < 2:
         raise PoolBudgetError(
-            f"{plan}: actor pools ({wanted}) need {len(pools) + 1} CPUs "
-            f"with one left free for the read tasks; the cluster has {cpus}")
-    sizes, n_room = [], max(2, len(pools))
-    for i, (eighths, rows_per_actor) in enumerate(pools.values()):
-        n = max(1, min(free - sum(sizes) - (n_room - 1 - i),
-                       eighths * cpus // 8))
-        if rows is not None and rows_per_actor:
-            n = min(n, rows // rows_per_actor + 1)
-        sizes.append(n)
-    return sizes
+            f"{plan}: an actor pool needs 2 CPUs with one left free for "
+            f"the read tasks; the cluster has {cpus}")
+    n = max(1, min(cpus - 2, eighths * cpus // 8))
+    if rows is not None and rows_per_actor:
+        n = min(n, rows // rows_per_actor + 1)
+    return n
 
 
 def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
                lang: str | None = None, until: str = "linked",
-               batch_size: int = 1024, counter=None):
+               batch_size: int = 1024):
     """Build the lazy Dataset pipeline pages → tagged sentences
     (``until="tagged"``), surface triples (``"surface"``) or linked
     triples (``"linked"``).  ``lang`` keeps only the pages of that
     language; the filter runs right after the page scan, before any
-    decode work.  The pools' input cap counts the rows of every
+    decode work.  The pool's input cap counts the rows of every
     language (parquet footers), so with ``lang`` it is an upper bound."""
     if until not in ("tagged", "surface", "linked"):
         raise ValueError(f"kg_dataset: unknown until={until!r}")
-    pools = {"tagger": (TAGGER_EIGHTHS[tagger], 128)}
-    if until == "linked":
-        pools["linker"] = LINKER_POOL
+    # the linked plan's one pool tags, extracts and links, so it takes
+    # every CPU but the two left to the read tasks
+    share = (8, 128) if until == "linked" else (TAGGER_EIGHTHS[tagger], 128)
     # row counts come from parquet footers (metadata-only reads)
-    rows = sum(pq.read_metadata(f).num_rows for f in files)
-    sizes = pool_budget(f"kg_dataset(tagger={tagger!r}, until={until!r})",
-                        pools, rows)
-    tagger_cls = {"hmm": HMMTagger, "crf": CRFTagger,
-                  "transformer": TransformerTagger}[tagger]
+    n_actors = pool_budget(f"kg_dataset(tagger={tagger!r}, until={until!r})",
+                           share, _footer_rows(files))
 
-    # fractional-CPU read tasks: the actor pools reserve all but one
-    # CPU, and a whole-CPU read would serialize on that single slot —
+    # fractional-CPU read tasks: the actor pool reserves all but the
+    # free CPUs, and a whole-CPU read would serialize on them —
     # measured 20.8 s of read ramp on a 68 s / 480k-page run.  At 0.25
-    # CPU four reads co-schedule per free slot and the pools stay fed.
+    # CPU four reads co-schedule per free slot and the pool stays fed.
+    # The filter and the stateless maps ask for the same 0.25 CPU, so
+    # Ray Data fuses them into the read task (or, when it splits the
+    # read's blocks, into one task after it) and never into the actor:
+    # the pool's batch_size bundles sentences, not pages.
+    read_cpus = {"num_cpus": 0.25}
     ds = rd.read_parquet(files, columns=["url", "html", "lang"],
-                         ray_remote_args={"num_cpus": 0.25})
+                         ray_remote_args=read_cpus)
     if lang is not None:
-        ds = ds.filter(expr=f"lang == {lang!r}")
-    if counter is not None:
-        ds = ds.map_batches(counting_passthrough(counter, "pages"),
-                            batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(extract_text, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(split_sentences, batch_format="pyarrow", zero_copy_batch=True)
-    if counter is not None:
-        ds = ds.map_batches(counting_passthrough(counter, "sentences"),
-                            batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(tagger_cls, fn_constructor_kwargs={
-                            "model_paths": _model_paths(model_dir, tagger)},
-                        batch_format="pyarrow", batch_size=batch_size,
-                        concurrency=sizes[0], num_cpus=1)
-    if until == "tagged":
-        return ds
-    ds = ds.map_batches(extract_triples, batch_format="pyarrow", zero_copy_batch=True)
-    if counter is not None:
-        ds = ds.map_batches(counting_passthrough(counter, "triples_raw"),
-                            batch_format="pyarrow", zero_copy_batch=True)
+        ds = ds.filter(expr=f"lang == {lang!r}", **read_cpus)
+    for fn in (extract_text, split_sentences):
+        ds = ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
+                            **read_cpus)
+    pool_args = dict(batch_format="pyarrow", batch_size=batch_size,
+                     concurrency=n_actors, num_cpus=1)
+    model_paths = _model_paths(model_dir, tagger)
+    if until == "linked":
+        # side tables load per actor from the corpus path (restart-safe;
+        # see LinkerActor docstring re ray#53727) — never ray.put refs in
+        # actor constructor args
+        return ds.map_batches(TaggerLinker, fn_constructor_kwargs={
+            "tagger": tagger, "model_paths": model_paths,
+            "corpus_dir": corpus_dir}, **pool_args)
+    ds = ds.map_batches(TAGGERS[tagger], fn_constructor_kwargs={
+        "model_paths": model_paths}, **pool_args)
     if until == "surface":
-        return ds
-    # side tables load per actor from the corpus path (restart-safe;
-    # see LinkerActor docstring re ray#53727) — never ray.put refs in
-    # actor constructor args
-    ds = ds.map_batches(LinkerActor,
-                        fn_constructor_kwargs={"corpus_dir": corpus_dir},
-                        batch_format="pyarrow", batch_size=4096,
-                        concurrency=sizes[1], num_cpus=1)
+        ds = ds.map_batches(extract_triples, batch_format="pyarrow",
+                            zero_copy_batch=True)
     return ds
+
+
+# --------------------------------------------------------------------------- lineage from engine stats
+
+
+class LineageError(RuntimeError):
+    """A lineage count cannot be read from the executed plan."""
+
+
+def _footer_rows(files) -> int:
+    return sum(pq.read_metadata(f).num_rows for f in files)
+
+
+def operator_stats(summary) -> list:
+    """Every operator of an executed Dataset's stats summary
+    (``Dataset._get_stats_summary()``), upstream plans first:
+    ``[{"name", "wall_s", "cpu_s", "rows_out"}]``, the times summed
+    over the operator's tasks."""
+    ops = [op for parent in summary.parents for op in operator_stats(parent)]
+    for op in summary.operators_stats:
+        ops.append({"name": op.operator_name,
+                    "wall_s": (op.wall_time or {}).get("sum", 0.0),
+                    "cpu_s": (op.cpu_time or {}).get("sum", 0.0),
+                    "rows_out": int((op.output_num_rows or {}).get("sum", 0))})
+    return ops
+
+
+def _sentences(summary) -> int:
+    """Output rows of the one ``split_sentences`` operator of an
+    executed plan — fused into the read or standing alone, but not
+    into the actor, whose output rows are triples."""
+    op_name = f"MapBatches({split_sentences.__name__})"
+    hits = [op for op in operator_stats(summary) if op["name"].endswith(op_name)]
+    if len(hits) != 1:
+        raise LineageError(
+            f"expected one operator ending in {op_name!r} in the executed "
+            f"plan, found {[op['name'] for op in hits]}")
+    return hits[0]["rows_out"]
 
 
 # --------------------------------------------------------------------------- run loop (resume + lineage)
@@ -282,7 +305,6 @@ def run_kg(corpus_dir: str, out_dir: str, model_dir: str | None = None,
             continue
         if stop_after_groups is not None and len(ran) >= stop_after_groups:
             break
-        counter = new_counter()
         t0 = time.perf_counter()
         group_dir = os.path.join(triples_root, f"group={gid}")
         # a run killed mid-group leaves partial parquet with no manifest
@@ -290,23 +312,22 @@ def run_kg(corpus_dir: str, out_dir: str, model_dir: str | None = None,
         # partials or the rerun double-counts triples
         shutil.rmtree(group_dir, ignore_errors=True)
         ds = kg_dataset(files, corpus_dir, model_dir, tagger=tagger,
-                        batch_size=batch_size, counter=counter)
-        ds = ds.map_batches(counting_passthrough(counter, "triples_linked"),
-                            batch_format="pyarrow", zero_copy_batch=True)
+                        batch_size=batch_size)
         ds.write_parquet(group_dir)
-        counts = ray.get(counter.get.remote())
+        # linking is 1:1, so the raw and linked triple counts are both
+        # the written rows
+        triples = _footer_rows(glob.glob(os.path.join(group_dir, "*.parquet")))
         manifest.append({
             "group_id": gid,
             "input_files": [os.path.basename(f) for f in files],
-            "rows_in": counts.get("pages", 0),
-            "sentences": counts.get("sentences", 0),
-            "triples_raw": counts.get("triples_raw", 0),
-            "triples_out": counts.get("triples_linked", 0),
+            "rows_in": _footer_rows(files),
+            "sentences": _sentences(ds._write_ds._get_stats_summary()),
+            "triples_raw": triples,
+            "triples_out": triples,
             "output_dir": group_dir,
             "wall_sec": round(time.perf_counter() - t0, 3),
             "status": "done",
         })
-        ray.kill(counter)
         ran.append(gid)
 
     remaining = [g for g, _ in groups if g not in manifest.done_groups()]

@@ -33,7 +33,7 @@ def _featurizer_pool(plan: str, concurrency: int | None) -> int:
     of the plan's one featurizer pool (the HMM tagger's 6/8 share)."""
     if concurrency is not None:
         return concurrency
-    return pool_budget(plan, {"featurizer": (6, None)})[0]
+    return pool_budget(plan, (6, None))
 
 
 def decode_image(payload: bytes):

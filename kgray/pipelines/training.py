@@ -499,8 +499,8 @@ def transformer_trained_tags(sf_dir: str, epochs: int = 3,
                                   type=pa.string())})
 
     # from_arrow yields ONE block: one block per actor keeps the pool busy
-    (n_actors,) = pool_budget("transformer_trained_tags", {
-        "tagger": (TAGGER_EIGHTHS["transformer"], 256)}, n)
+    n_actors = pool_budget("transformer_trained_tags",
+                           (TAGGER_EIGHTHS["transformer"], 256), n)
     ds = rd.from_arrow(src).repartition(n_actors).map_batches(
         TransformerTagger, fn_constructor_kwargs={
             "model_paths": {"en": model_path}},

@@ -3,19 +3,22 @@
 ``decode_mentions`` and ``extract_triples`` are stateless Arrow
 transforms; ``LinkerActor`` holds the broadcast small side (alias dict +
 entity-embedding matrix) in actor state — a broadcast hash join, never a
-shuffle (SURVEY.md §2.5).
+shuffle (SURVEY.md §2.5).  ``TaggerLinker`` is the flagship's one actor
+pool: it holds a tagger and a linker and runs tag → ``extract_triples``
+→ link on each batch of sentences, so a batch stays in one process from
+sentences to linked triples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from ..kernels.linking import EMB_DIM, link_surface
 from ..kernels.triples import extract_sentence_triples, sentence_mentions
+from .tagger import TAGGERS
 
-__all__ = ["decode_mentions", "extract_triples", "LinkerActor",
+__all__ = ["decode_mentions", "extract_triples", "LinkerActor", "TaggerLinker",
            "MENTIONS_SCHEMA", "TRIPLES_RAW_SCHEMA", "TRIPLES_LINKED_SCHEMA"]
 
 MENTIONS_SCHEMA = pa.schema([
@@ -157,3 +160,18 @@ class LinkerActor:
             "obj": pa.array(objs, type=pa.string()),
             "score": pa.array(np.asarray(scores, dtype=np.float32), type=pa.float32()),
         })
+
+
+class TaggerLinker:
+    """Actor: tagged, extracted and linked triples from one batch of
+    sentences — the tagger class named ``tagger`` (``TAGGERS``), then
+    :func:`extract_triples`, then :class:`LinkerActor`.  Constructor
+    args are a name and paths only, so a restarted actor reloads
+    everything itself (ray#53727, see ``LinkerActor``)."""
+
+    def __init__(self, tagger: str, model_paths: dict, corpus_dir: str):
+        self.tagger = TAGGERS[tagger](model_paths)
+        self.linker = LinkerActor(corpus_dir=corpus_dir)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return self.linker(extract_triples(self.tagger(batch)))

@@ -20,7 +20,8 @@ from ..kernels import crf as crf_kernel
 from ..kernels import hmm as hmm_kernel
 from ..kernels import transformer as tfm_kernel
 
-__all__ = ["HMMTagger", "CRFTagger", "TransformerTagger", "TAGGED_SCHEMA"]
+__all__ = ["HMMTagger", "CRFTagger", "TransformerTagger", "TAGGERS",
+           "TAGGED_SCHEMA"]
 
 TAGGED_SCHEMA = pa.schema([
     ("url", pa.string()),
@@ -122,3 +123,7 @@ class CRFTagger:
                 tags[i] = crf_kernel.viterbi_decode(
                     toks, model, caches.setdefault(lang, {}))[0]
         return _attach_tags(batch, tags)
+
+
+# tagger name (the ``--tagger`` / ``models.json`` key) → actor class
+TAGGERS = {"hmm": HMMTagger, "crf": CRFTagger, "transformer": TransformerTagger}

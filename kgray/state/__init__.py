@@ -1,1 +1,1 @@
-"""Run state: lineage counters, checkpoint manifest, model artifacts."""
+"""Run state: checkpoint manifest, model artifacts."""

@@ -1,7 +1,7 @@
 """Checkpoint manifest: per-partition-group lineage records (JSONL).
 
 One record per *completed* partition group (FIXTURES.md F6): input
-files, per-stage counters, output directory, wall time.  A killed run
+files, per-stage row counts, output directory, wall time.  A killed run
 resumes by skipping groups already recorded — at-least-once semantics
 with output isolation per group (each group writes only under its own
 ``group=<id>/`` directory, so partial runs never interleave).

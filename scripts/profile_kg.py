@@ -1,18 +1,30 @@
-"""Per-operator profile of the flagship pipeline (ds.stats()).
+"""Per-operator profile of the flagship pipeline (Ray Data stats).
 
 Usage: python scripts/profile_kg.py [sf_dir]
-Prints per-operator wall/cpu/rows so stage-level regressions are
-visible; used to drive the round-1 optimizations (see NOTES.md).
+Runs the streaming phase (pages → linked triples parquet) and the graph
+phase over its output, then prints per-operator wall, CPU and output
+rows of each from the structured stats summary — the same walk
+(``pipelines.kg.operator_stats``) that fills ``run_kg``'s lineage
+records.  Wall and CPU are summed over each operator's tasks.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _print_ops(title: str, wall: float, summary) -> None:
+    from kgray.pipelines.kg import operator_stats
+
+    print(f"{title}: {wall:.1f}s")
+    for op in operator_stats(summary):
+        print(f"  {op['name'][:90]:<92} wall={op['wall_s']:.2f}s "
+              f"cpu={op['cpu_s']:.2f}s rows={op['rows_out']}")
 
 
 def main():
@@ -21,6 +33,7 @@ def main():
     import logging
 
     import ray
+    import ray.data as rd
 
     ray.init(address="local",
              num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
@@ -40,20 +53,17 @@ def main():
     files = page_files(corpus)
     kg_dataset(files[:1], corpus, model_dir).count()      # warmup
 
-    t0 = time.perf_counter()
-    ds = kg_dataset(files, corpus, model_dir)
-    graph = canonical_graph(ds).materialize()
-    wall = time.perf_counter() - t0
-    print(f"graph rows: {graph.count()}; wall: {wall:.1f}s")
-
-    stats = graph.stats()
-    for chunk in re.split(r"\n(?=Operator )", stats):
-        header = chunk.split("\n")[0]
-        m = re.search(r"Remote wall time: .*?, ([\d.]+)(m?s) total", chunk)
-        rows = re.search(r"Output num rows per block: .*?, (\d+) total", chunk)
-        wall_s = f"{m.group(1)}{m.group(2)}" if m else "?"
-        print(f"  {header[:90]:<92} wall_total={wall_s} "
-              f"rows={rows.group(1) if rows else '?'}")
+    with tempfile.TemporaryDirectory() as triples_dir:
+        t0 = time.perf_counter()
+        ds = kg_dataset(files, corpus, model_dir)
+        ds.write_parquet(triples_dir)
+        t1 = time.perf_counter()
+        graph = canonical_graph(rd.read_parquet(triples_dir)).materialize()
+        t2 = time.perf_counter()
+        _print_ops("stream (pages → triples parquet)", t1 - t0,
+                   ds._write_ds._get_stats_summary())
+        _print_ops(f"graph ({graph.count()} rows)", t2 - t1,
+                   graph._get_stats_summary())
     ray.shutdown()
 
 

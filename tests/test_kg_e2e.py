@@ -3,6 +3,7 @@ reference-semantics oracle (exact-match gate) and vs analytic gold
 triples (P/R ≥ 0.95, the north rule)."""
 
 import glob
+import json
 import os
 
 import pyarrow.parquet as pq
@@ -81,22 +82,88 @@ def test_graph_is_sorted_and_partitioned(kg_run):
     assert probe in got
 
 
+def _serial_group_counts(files, model_dir):
+    """(pages, sentences, triples) of one group, recounted serially:
+    parquet footers, non-empty ``tokenize_line`` lines of
+    ``html_to_text``, and ``extract_sentence_triples`` under the
+    per-sentence Viterbi."""
+    from kgray.functions.html_text import html_to_text
+    from kgray.kernels import hmm
+    from kgray.kernels.triples import extract_sentence_triples, sentence_mentions
+    from kgray.stages.extract import tokenize_line
+
+    with open(os.path.join(model_dir, "models.json")) as f:
+        models = {lang: hmm.HMMModel.load(p)
+                  for lang, p in json.load(f)["hmm"].items()}
+    pages = sentences = triples = 0
+    for f in files:
+        pages += pq.read_metadata(f).num_rows
+        t = pq.read_table(f, columns=["html", "lang"])
+        for html, lang in zip(t["html"].to_pylist(), t["lang"].to_pylist()):
+            for line in html_to_text(html).split("\n"):
+                toks = tokenize_line(line, lang)
+                if not toks:
+                    continue
+                sentences += 1
+                if lang in models:
+                    tags = hmm.viterbi_decode(toks, models[lang])
+                    mentions = sentence_mentions(
+                        toks, tags, "bmes" if lang == "zh" else "bio")
+                    triples += len(extract_sentence_triples(toks, mentions))
+    return pages, sentences, triples
+
+
 def test_manifest_lineage(kg_run):
-    corpus_dir, out, _, stats = kg_run
+    """Every group's counts equal an independent serial recount of its
+    files, so a wrong stats lookup or a lost batch fails here."""
+    corpus_dir, out, model_dir, stats = kg_run
     from kgray.state.manifest import Manifest
     recs = Manifest(os.path.join(out, "manifest.jsonl")).records()
     group_recs = [r for r in recs if r["group_id"] != "__graph__"]
-    assert len(group_recs) == len(kg.partition_groups(kg.page_files(corpus_dir)))
-    for r in group_recs:
+    groups = kg.partition_groups(kg.page_files(corpus_dir))
+    assert [r["group_id"] for r in group_recs] == [g for g, _ in groups]
+    for r, (_, files) in zip(group_recs, groups):
         assert r["status"] == "done"
-        assert r["rows_in"] > 0 and r["sentences"] > 0
+        pages, sentences, triples = _serial_group_counts(files, model_dir)
+        assert sentences > pages > 0 and triples > 0
+        assert (r["rows_in"], r["sentences"], r["triples_raw"],
+                r["triples_out"]) == (pages, sentences, triples, triples), r
         assert r["wall_sec"] >= 0
         assert os.path.isdir(r["output_dir"])
     graph_recs = [r for r in recs if r["group_id"] == "__graph__"]
     assert len(graph_recs) == 1 and graph_recs[0]["n_graph_rows"] > 0
     g = graph_recs[0]
     assert g["exchange_sec"] >= 0 and g["write_sec"] >= 0
-    assert g["exchange_sec"] + g["write_sec"] <= g["wall_sec"]
+    # each of the three is rounded to 1 ms on its own
+    assert g["exchange_sec"] + g["write_sec"] <= g["wall_sec"] + 0.001
+
+
+def test_lineage_needs_the_split_operator():
+    """Sentences are the output rows of exactly one operator ending in
+    ``MapBatches(split_sentences)``; a plan where that operator is
+    missing (fused into the actor) or doubled raises, never guesses."""
+    from types import SimpleNamespace
+
+    def op(name, rows):
+        return SimpleNamespace(operator_name=name, wall_time={"sum": 1.0},
+                               cpu_time={"sum": 0.5}, udf_time=None,
+                               output_num_rows={"sum": rows})
+
+    def summary(*ops, parents=()):
+        return SimpleNamespace(operators_stats=list(ops), parents=list(parents))
+
+    split = "ReadParquet->MapBatches(extract_text)->MapBatches(split_sentences)"
+    write = op("Write", 5)
+    ok = summary(op("MapBatches(TaggerLinker)", 5), write,
+                 parents=[summary(op(split, 7))])
+    assert [o["name"] for o in kg.operator_stats(ok)] == [
+        split, "MapBatches(TaggerLinker)", "Write"]
+    assert kg._sentences(ok) == 7
+    fused = summary(op(split + "->MapBatches(TaggerLinker)", 5), write)
+    doubled = summary(op(split, 7), op(split, 7), write)
+    for bad in (fused, doubled):
+        with pytest.raises(kg.LineageError, match="split_sentences"):
+            kg._sentences(bad)
 
 
 def test_resume_skips_done_groups(ray_session, tiny_corpus_dir, tmp_path):
@@ -128,7 +195,6 @@ def test_resume_after_midgroup_crash(ray_session, tiny_corpus_dir, tmp_path):
     Same hazard for a graph dir written but not manifest-recorded, and
     for a manifest record torn by a kill mid-append: that group reruns
     and the torn bytes never glue onto the next record."""
-    import json
 
     import pyarrow as pa
 
@@ -181,7 +247,6 @@ def test_resume_from_foreign_process_manifest(ray_session, tiny_corpus_dir,
     where the retry driver is a fresh process, possibly on another
     node.  Phase 1 runs in a subprocess (own Ray session, cwd=/tmp);
     phase 2 resumes here and must skip the foreign-recorded group."""
-    import json
     import subprocess
     import sys
     import textwrap

@@ -2,10 +2,10 @@
 
 Fixed-size actor pools that cannot all start, or that leave no CPU for
 the fractional-CPU read tasks feeding them, stall the streaming
-executor without an error.  Every plan that starts actor pools must
-therefore either fit the cluster (its pools sum below the CPU count)
-or raise ``PoolBudgetError`` when it is built — at every cluster size,
-not just the test session's."""
+executor without an error.  Every plan starts at most one actor pool,
+and it must either fit the cluster (below the CPU count) or raise
+``PoolBudgetError`` when it is built — at every cluster size, not just
+the test session's."""
 
 import json
 from functools import partial
@@ -51,7 +51,7 @@ def fake_models(tmp_path_factory):
 
 
 def _plans(corpus: str, model_dir: str) -> dict:
-    """name → (number of co-scheduled pools, plan builder)."""
+    """name → plan builder."""
     import __ray_entry__ as entry
     from kgray.pipelines import graph, multimodal, training
 
@@ -59,19 +59,17 @@ def _plans(corpus: str, model_dir: str) -> dict:
     plans = {}
     for tagger in TAGGERS:
         for until in ("tagged", "surface", "linked"):
-            plans[f"kg_dataset({tagger}, {until})"] = (
-                2 if until == "linked" else 1,
-                partial(kg.kg_dataset, files, corpus, model_dir,
-                        tagger=tagger, until=until))
-        plans[f"{tagger}_tags_valid"] = (1, partial(entry._tags_valid, "sf",
-                                                    tagger))
-    plans["kg_dataset(hmm, linked, zh)"] = (
-        2, partial(kg.kg_dataset, files, corpus, model_dir, lang="zh"))
-    plans["kg_alias_patch relink"] = (
-        1, partial(graph.kg_alias_patch, "sf", plan="full"))
-    plans["transformer_trained_tags"] = (
-        1, partial(training.transformer_trained_tags, "sf"))
-    plans["binary_features"] = (1, partial(multimodal.binary_features, files))
+            plans[f"kg_dataset({tagger}, {until})"] = partial(
+                kg.kg_dataset, files, corpus, model_dir, tagger=tagger,
+                until=until)
+        plans[f"{tagger}_tags_valid"] = partial(entry._tags_valid, "sf", tagger)
+    plans["kg_dataset(hmm, linked, zh)"] = partial(
+        kg.kg_dataset, files, corpus, model_dir, lang="zh")
+    plans["kg_alias_patch relink"] = partial(graph.kg_alias_patch, "sf",
+                                             plan="full")
+    plans["transformer_trained_tags"] = partial(
+        training.transformer_trained_tags, "sf")
+    plans["binary_features"] = partial(multimodal.binary_features, files)
     return plans
 
 
@@ -93,25 +91,24 @@ def test_every_pool_plan_fits_or_raises(ray_session, tiny_corpus_dir,
     monkeypatch.setattr(canonical, "canonical_graph", lambda ds: ds)
     plans = _plans(tiny_corpus_dir, fake_models)
     _cpus(monkeypatch, cpus)
-    for name, (n_pools, build) in plans.items():
+    for name, build in plans.items():
         try:
             sizes = _pool_sizes(build())
         except PoolBudgetError as e:
-            assert cpus - 1 < n_pools, (name, cpus, str(e))
+            assert cpus == 1, (name, cpus, str(e))
             assert f"has {cpus}" in str(e) and "need" in str(e), str(e)
             continue
-        assert len(sizes) == n_pools and min(sizes) >= 1, (name, sizes)
-        assert sum(sizes) < cpus, (name, sizes, cpus)
+        assert len(sizes) == 1 and 1 <= sizes[0] < cpus, (name, sizes, cpus)
 
 
 def test_budget_keeps_sound_sizes(ray_session, tiny_corpus_dir, fake_models,
                                   tmp_path, monkeypatch):
-    """Where the per-site rules were sound the budget keeps their
-    sizes: (24, 7) HMM and (28, 3) CRF/transformer at 32 CPUs on large
-    input, (2, 1) for both benchmark workloads on 4 CPUs, and (1, 1)
-    for a 2-file group of the 120-page test corpus.  A lone pool keeps
-    the size the one-pool plans had: the tagger share after a linker
-    CPU is set aside."""
+    """The flagship's one fused pool takes every CPU but two: 2 actors
+    for both benchmark workloads on 4 CPUs, 30 at 32 CPUs for every
+    tagger, 1 for a 2-file group of the 120-page test corpus and at 2
+    or 3 CPUs; only a 1-CPU cluster raises.  A lone tagger pool
+    (``until="tagged"`` or ``"surface"``) keeps the tagger's share:
+    24 HMM and 28 CRF/transformer actors at 32 CPUs."""
     from kgray.pipelines import multimodal
 
     stream = str(tmp_path / "stream")        # the hmm_stream shape
@@ -119,25 +116,29 @@ def test_budget_keeps_sound_sizes(ray_session, tiny_corpus_dir, fake_models,
     grouped = str(tmp_path / "grouped")      # the grouped_resume shape
     generate_corpus(grouped, n_pages=1200, seed=7, pages_per_shard=150)
 
-    def sizes(files, tagger="hmm"):
+    def sizes(files, tagger="hmm", until="linked"):
         return _pool_sizes(kg.kg_dataset(files, stream, fake_models,
-                                         tagger=tagger))
+                                         tagger=tagger, until=until))
 
     big = kg.page_files(stream) * 2          # 6,400 rows
     _cpus(monkeypatch, 32)
-    assert sizes(big) == [24, 7]
-    assert sizes(big, "crf") == [28, 3]
-    assert sizes(big, "transformer") == [28, 3]
+    for tagger in TAGGERS:
+        assert sizes(big, tagger) == [30]
+    for until in ("tagged", "surface"):
+        assert sizes(big, until=until) == [24]
+        assert sizes(big, "crf", until) == [28]
+        assert sizes(big, "transformer", until) == [28]
     _cpus(monkeypatch, 4)
-    assert sizes(kg.page_files(stream)) == [2, 1]
+    assert sizes(kg.page_files(stream)) == [2]
     for _, files in kg.partition_groups(kg.page_files(grouped)):
-        assert sizes(files) == [2, 1]
+        assert sizes(files) == [2]
     for _, files in kg.partition_groups(kg.page_files(tiny_corpus_dir)):
-        assert sizes(files) == [1, 1]
-    _cpus(monkeypatch, 3)
-    assert sizes(kg.page_files(stream)) == [1, 1]
-    _cpus(monkeypatch, 2)
-    with pytest.raises(PoolBudgetError, match=r"tagger 1, linker 1.*has 2"):
+        assert sizes(files) == [1]
+    for cpus in (2, 3):
+        _cpus(monkeypatch, cpus)
+        assert sizes(kg.page_files(stream)) == [1]
+    _cpus(monkeypatch, 1)
+    with pytest.raises(PoolBudgetError, match=r"needs 2 CPUs.*has 1"):
         sizes(kg.page_files(stream))
     for cpus, n in ((2, 1), (3, 1), (4, 2), (8, 6), (32, 24)):
         _cpus(monkeypatch, cpus)
