@@ -1,29 +1,35 @@
 """The flagship pipeline: web pages → knowledge graph.
 
-Lifecycle (SURVEY.md §3.5), built by :func:`kg_dataset`:
+Lifecycle (SURVEY.md §3.5), built by :func:`kg_dataset`; ``run_kg``
+runs ALL pending partition groups of a call as ONE Dataset:
 
-    read_parquet(pages shards)                      ┐ 0.25-CPU tasks: the maps fuse
-      → map_batches(extract_text)                   │ into the read (into one task
-      → map_batches(split_sentences)                ┘ after it if Ray splits blocks)
-      → map_batches(TaggerLinker)                   [the one actor pool] per batch:
-            tag → extract_triples → link            NumPy tagger params, pattern
-                                                    rules, broadcast aliases
-                                                    (until="tagged": a tagger pool;
-                                                    "surface": + extract_triples)
-      → write_parquet(out/triples/group=<gid>/)     [per-group sink]
+    read_parquet(pages shards, include_paths)      ┐ 0.25-CPU tasks: the maps fuse
+      → map_batches(add_group)  path → group id    │ into the read (into one task
+      → map_batches(extract_text)                   │ after it if Ray splits blocks)
+      → map_batches(split_sentences)                ┘
+      → map_batches(TripleSink)                     [the one actor pool] per batch:
+            per group slice: tag → extract_triples  NumPy tagger params, pattern
+            → link → write triples/group=<gid>/     rules, broadcast aliases
+            → one (group, sentences, triples) row   (no groups: TaggerLinker;
+                                                    until="tagged": a tagger
+                                                    pool; "surface": +
+                                                    extract_triples)
+      → driver, in stream order (preserve_order): completed_groups folds
+        the rows and appends each group's manifest record once a later
+        group's row arrives or the stream ends
     …then over all group outputs:
       canonical_graph: salted combine → ONE sort on (subj_bucket, subj,
       pred, obj, salt) → in-place boundary merge → graph parquet per
       subj_bucket, written in that order (no further sort)
 
-The pool is sized by :func:`pool_budget`.  Each completed partition
-group appends a lineage record to the manifest, read from the plan
-itself: pages from the group's parquet footers, sentences from the
-executed write's Ray Data stats, triples from the written files'
-footers (:func:`operator_stats`).  A rerun skips ``done`` groups
-(`resumable`).  Model artifacts are built once on the driver (training
-data is small — the reference trains serially too, hmm_ner.py:9-124;
-only inference scales out) and loaded per actor.
+The pool is sized by :func:`pool_budget`, once per call.  A group's
+record holds pages from its parquet footers and sentences and triples
+summed from the stream's rows.  A rerun skips ``done`` groups
+(`resumable`) and clears the directories of the groups it plans, so a
+group written but never committed reruns from scratch.  Model
+artifacts are built once on the driver (training data is small — the
+reference trains serially too, hmm_ner.py:9-124; only inference scales
+out) and loaded per actor.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import os
 import shutil
 import time
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
@@ -44,14 +51,14 @@ from ..kernels.triples import extract_sentence_triples, sentence_mentions
 from ..sources.corpus import load_side_tables
 from ..stages.canonical import canonical_graph
 from ..stages.extract import extract_text, split_sentences, tokenize_line
-from ..stages.kg import TaggerLinker, extract_triples
+from ..stages.kg import TaggerLinker, TripleSink, extract_triples
 from ..stages.tagger import TAGGERS
-from ..state.manifest import Manifest
+from ..state.manifest import Manifest, completed_groups
 
 __all__ = ["build_models", "kg_dataset", "run_kg", "serial_oracle_triples",
            "page_files", "partition_groups", "page_site_counts",
            "pool_budget", "PoolBudgetError", "TAGGER_EIGHTHS",
-           "operator_stats", "LineageError"]
+           "operator_stats"]
 
 
 # --------------------------------------------------------------------------- models
@@ -180,17 +187,37 @@ def pool_budget(plan: str, pool: tuple, rows: int | None = None) -> int:
     return n
 
 
+def _group_column(groups: dict):
+    """Batch fn: the read's ``path`` column → the file's ``group`` id."""
+    def add_group(batch):
+        gids = [groups[os.path.basename(p)]
+                for p in batch.column("path").to_pylist()]
+        return batch.drop_columns(["path"]).append_column(
+            "group", pa.array(gids, type=pa.string()))
+    return add_group
+
+
 def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
                lang: str | None = None, until: str = "linked",
-               batch_size: int = 1024):
+               batch_size: int = 1024, groups: dict | None = None,
+               triples_root: str | None = None):
     """Build the lazy Dataset pipeline pages → tagged sentences
     (``until="tagged"``), surface triples (``"surface"``) or linked
     triples (``"linked"``).  ``lang`` keeps only the pages of that
     language; the filter runs right after the page scan, before any
     decode work.  The pool's input cap counts the rows of every
-    language (parquet footers), so with ``lang`` it is an upper bound."""
+    language (parquet footers), so with ``lang`` it is an upper bound.
+
+    With ``groups`` (``{file basename: group id}``) and
+    ``triples_root``, the linked pool is :class:`TripleSink`: it writes
+    each group's triples under ``triples_root/group=<gid>/`` and the
+    Dataset yields ``(group, sentences, triples)`` rows instead."""
     if until not in ("tagged", "surface", "linked"):
         raise ValueError(f"kg_dataset: unknown until={until!r}")
+    if (groups is None) != (triples_root is None) or (
+            groups is not None and until != "linked"):
+        raise ValueError("kg_dataset: groups and triples_root go together, "
+                         "with until='linked'")
     # the linked plan's one pool tags, extracts and links, so it takes
     # every CPU but the two left to the read tasks
     share = (8, 128) if until == "linked" else (TAGGER_EIGHTHS[tagger], 128)
@@ -208,10 +235,14 @@ def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
     # the pool's batch_size bundles sentences, not pages.
     read_cpus = {"num_cpus": 0.25}
     ds = rd.read_parquet(files, columns=["url", "html", "lang"],
+                         include_paths=groups is not None,
                          ray_remote_args=read_cpus)
     if lang is not None:
         ds = ds.filter(expr=f"lang == {lang!r}", **read_cpus)
-    for fn in (extract_text, split_sentences):
+    maps = (extract_text, split_sentences)
+    if groups is not None:
+        maps = (_group_column(groups), *maps)
+    for fn in maps:
         ds = ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
                             **read_cpus)
     pool_args = dict(batch_format="pyarrow", batch_size=batch_size,
@@ -221,9 +252,13 @@ def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
         # side tables load per actor from the corpus path (restart-safe;
         # see LinkerActor docstring re ray#53727) — never ray.put refs in
         # actor constructor args
-        return ds.map_batches(TaggerLinker, fn_constructor_kwargs={
-            "tagger": tagger, "model_paths": model_paths,
-            "corpus_dir": corpus_dir}, **pool_args)
+        chain = {"tagger": tagger, "model_paths": model_paths,
+                 "corpus_dir": corpus_dir}
+        if groups is None:
+            return ds.map_batches(TaggerLinker, fn_constructor_kwargs=chain,
+                                  **pool_args)
+        return ds.map_batches(TripleSink, fn_constructor_kwargs={
+            **chain, "triples_root": triples_root}, **pool_args)
     ds = ds.map_batches(TAGGERS[tagger], fn_constructor_kwargs={
         "model_paths": model_paths}, **pool_args)
     if until == "surface":
@@ -232,11 +267,7 @@ def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
     return ds
 
 
-# --------------------------------------------------------------------------- lineage from engine stats
-
-
-class LineageError(RuntimeError):
-    """A lineage count cannot be read from the executed plan."""
+# --------------------------------------------------------------------------- engine stats
 
 
 def _footer_rows(files) -> int:
@@ -257,19 +288,6 @@ def operator_stats(summary) -> list:
     return ops
 
 
-def _sentences(summary) -> int:
-    """Output rows of the one ``split_sentences`` operator of an
-    executed plan — fused into the read or standing alone, but not
-    into the actor, whose output rows are triples."""
-    op_name = f"MapBatches({split_sentences.__name__})"
-    hits = [op for op in operator_stats(summary) if op["name"].endswith(op_name)]
-    if len(hits) != 1:
-        raise LineageError(
-            f"expected one operator ending in {op_name!r} in the executed "
-            f"plan, found {[op['name'] for op in hits]}")
-    return hits[0]["rows_out"]
-
-
 # --------------------------------------------------------------------------- run loop (resume + lineage)
 
 
@@ -281,12 +299,16 @@ def run_kg(corpus_dir: str, out_dir: str, model_dir: str | None = None,
     """Full driver loop: partition groups → triples parquet (+ manifest)
     → salted canonicalization → bucketed sorted graph parquet.
 
-    The graph sink is ``graph/subj_bucket=<b>/`` hash-bucketed on the
-    subject (``polyhash64(subj) % graph_buckets``), subj-sorted
-    within each bucket: a consumer looking up one subject reads exactly
-    one partition directory, and a failed write reruns per bucket.
-    ``stop_after_groups`` simulates a killed run for the resume test.
-    Returns run stats.
+    Every pending group runs in ONE streaming Dataset with one actor
+    pool; each group's manifest record is appended as soon as the
+    ordered stream moves past it (:func:`completed_groups`).  The graph
+    sink is ``graph/subj_bucket=<b>/`` hash-bucketed on the subject
+    (``polyhash64(subj) % graph_buckets``), subj-sorted within each
+    bucket: a consumer looking up one subject reads exactly one
+    partition directory, and a failed write reruns per bucket.
+    ``stop_after_groups`` plans only the first N pending groups, which
+    simulates a killed run for the resume tests.  Returns run stats,
+    with ``stream_ops`` the per-operator stats of the executed stream.
     """
     os.makedirs(out_dir, exist_ok=True)
     if model_dir is None:
@@ -298,41 +320,53 @@ def run_kg(corpus_dir: str, out_dir: str, model_dir: str | None = None,
     done = manifest.done_groups()
     groups = partition_groups(page_files(corpus_dir), files_per_group)
     triples_root = os.path.join(out_dir, "triples")
+    pending = dict([(gid, files) for gid, files in groups
+                    if gid not in done][:stop_after_groups])
 
-    ran = []
-    for gid, files in groups:
-        if gid in done:
-            continue
-        if stop_after_groups is not None and len(ran) >= stop_after_groups:
-            break
-        t0 = time.perf_counter()
-        group_dir = os.path.join(triples_root, f"group={gid}")
-        # a run killed mid-group leaves partial parquet with no manifest
-        # record; write_parquet ACCUMULATES files, so clear the stale
-        # partials or the rerun double-counts triples
-        shutil.rmtree(group_dir, ignore_errors=True)
-        ds = kg_dataset(files, corpus_dir, model_dir, tagger=tagger,
-                        batch_size=batch_size)
-        ds.write_parquet(group_dir)
-        # linking is 1:1, so the raw and linked triple counts are both
-        # the written rows
-        triples = _footer_rows(glob.glob(os.path.join(group_dir, "*.parquet")))
-        manifest.append({
-            "group_id": gid,
-            "input_files": [os.path.basename(f) for f in files],
-            "rows_in": _footer_rows(files),
-            "sentences": _sentences(ds._write_ds._get_stats_summary()),
-            "triples_raw": triples,
-            "triples_out": triples,
-            "output_dir": group_dir,
-            "wall_sec": round(time.perf_counter() - t0, 3),
-            "status": "done",
-        })
-        ran.append(gid)
+    ran, stream_ops = [], []
+    if pending:
+        t_prev = time.perf_counter()
+        for gid in pending:
+            # a killed run can leave parquet with no manifest record;
+            # clear it, or the rerun double-counts those triples
+            group_dir = os.path.join(triples_root, f"group={gid}")
+            shutil.rmtree(group_dir, ignore_errors=True)
+            os.makedirs(group_dir)
+        ds = kg_dataset([f for files in pending.values() for f in files],
+                        corpus_dir, model_dir, tagger=tagger,
+                        batch_size=batch_size, triples_root=triples_root,
+                        groups={os.path.basename(f): gid
+                                for gid, files in pending.items() for f in files})
+        # rows arrive in file order, so a later group's row means every
+        # earlier group is complete; set on this Dataset only
+        ds.context.execution_options.preserve_order = True
+        # the rows are a few per batch: no prefetch or format threads
+        # (iter_rows with them cost ~10% more CPU per one-group pass)
+        rows = (row for b in ds.iter_batches(batch_size=None,
+                                             batch_format="pyarrow",
+                                             prefetch_batches=0)
+                for row in b.to_pylist())
+        for gid, sentences, triples in completed_groups(list(pending), rows):
+            now = time.perf_counter()
+            manifest.append({
+                "group_id": gid,
+                "input_files": [os.path.basename(f) for f in pending[gid]],
+                "rows_in": _footer_rows(pending[gid]),
+                "sentences": sentences,
+                # linking is 1:1, so raw and linked triples are equal
+                "triples_raw": triples,
+                "triples_out": triples,
+                "output_dir": os.path.join(triples_root, f"group={gid}"),
+                "wall_sec": round(now - t_prev, 3),
+                "status": "done",
+            })
+            t_prev = now
+            ran.append(gid)
+        stream_ops = operator_stats(ds._get_stats_summary())
 
     remaining = [g for g, _ in groups if g not in manifest.done_groups()]
     stats = {"groups_run": ran, "groups_skipped": sorted(done),
-             "groups_remaining": remaining}
+             "groups_remaining": remaining, "stream_ops": stream_ops}
     if remaining:
         return stats                      # partial run (resume later)
 

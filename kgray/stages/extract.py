@@ -22,17 +22,19 @@ SENTENCES_SCHEMA = pa.schema([
 
 
 def extract_text(batch: pa.Table) -> pa.Table:
-    """pages(url, warc_ts, html, ...) → (url, text_extracted, lang).
+    """pages(url, warc_ts, html, ...) → (url, text_extracted, lang),
+    plus the page's ``group`` when the batch has one.
 
     The per-url byte-identical invariant is against this function's
     output (BASELINE.json input_hint); `check_extraction` verifies it.
     """
     texts = [html_to_text(h) for h in batch.column("html").to_pylist()]
-    return pa.table({
-        "url": batch.column("url"),
-        "text_extracted": pa.array(texts, type=pa.string()),
-        "lang": batch.column("lang"),
-    })
+    cols = {"url": batch.column("url"),
+            "text_extracted": pa.array(texts, type=pa.string()),
+            "lang": batch.column("lang")}
+    if "group" in batch.column_names:
+        cols["group"] = batch.column("group")
+    return pa.table(cols)
 
 
 def check_extraction(batch: pa.Table) -> pa.Table:
@@ -58,12 +60,14 @@ def split_sentences(batch: pa.Table) -> pa.Table:
 
     One sentence per extracted text line (the corpus's layout); carries
     explicit (url, sent_id) keys so downstream order never matters
-    (SURVEY.md §2.9).
+    (SURVEY.md §2.9).  A page's ``group``, when present, goes to each
+    of its sentences.
     """
-    urls_out, sids, toks, langs_out = [], [], [], []
-    for url, text, lang in zip(batch.column("url").to_pylist(),
-                               batch.column("text_extracted").to_pylist(),
-                               batch.column("lang").to_pylist()):
+    urls_out, sids, toks, langs_out, pages = [], [], [], [], []
+    for page, (url, text, lang) in enumerate(zip(
+            batch.column("url").to_pylist(),
+            batch.column("text_extracted").to_pylist(),
+            batch.column("lang").to_pylist())):
         for sid, line in enumerate(text.split("\n")):
             tk = tokenize_line(line, lang)
             if not tk:
@@ -72,7 +76,11 @@ def split_sentences(batch: pa.Table) -> pa.Table:
             sids.append(sid)
             toks.append(tk)
             langs_out.append(lang)
-    return pa.table({"url": pa.array(urls_out, type=pa.string()),
-                     "sent_id": pa.array(sids, type=pa.int32()),
-                     "tokens": pa.array(toks, type=pa.list_(pa.string())),
-                     "lang": pa.array(langs_out, type=pa.string())})
+            pages.append(page)
+    cols = {"url": pa.array(urls_out, type=pa.string()),
+            "sent_id": pa.array(sids, type=pa.int32()),
+            "tokens": pa.array(toks, type=pa.list_(pa.string())),
+            "lang": pa.array(langs_out, type=pa.string())}
+    if "group" in batch.column_names:
+        cols["group"] = batch.column("group").take(pa.array(pages, type=pa.int64()))
+    return pa.table(cols)

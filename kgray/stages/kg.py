@@ -6,20 +6,27 @@ entity-embedding matrix) in actor state — a broadcast hash join, never a
 shuffle (SURVEY.md §2.5).  ``TaggerLinker`` is the flagship's one actor
 pool: it holds a tagger and a linker and runs tag → ``extract_triples``
 → link on each batch of sentences, so a batch stays in one process from
-sentences to linked triples.
+sentences to linked triples.  ``TripleSink`` is that pool when
+``run_kg`` streams several partition groups at once: it also writes
+each group's triples and returns per-group counts.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..kernels.linking import EMB_DIM, link_surface
 from ..kernels.triples import extract_sentence_triples, sentence_mentions
 from .tagger import TAGGERS
 
 __all__ = ["decode_mentions", "extract_triples", "LinkerActor", "TaggerLinker",
-           "MENTIONS_SCHEMA", "TRIPLES_RAW_SCHEMA", "TRIPLES_LINKED_SCHEMA"]
+           "TripleSink", "MENTIONS_SCHEMA", "TRIPLES_RAW_SCHEMA",
+           "TRIPLES_LINKED_SCHEMA", "SINK_STATS_SCHEMA"]
 
 MENTIONS_SCHEMA = pa.schema([
     ("url", pa.string()),
@@ -175,3 +182,56 @@ class TaggerLinker:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.linker(extract_triples(self.tagger(batch)))
+
+
+SINK_STATS_SCHEMA = pa.schema([
+    ("group", pa.string()),
+    ("sentences", pa.int64()),
+    ("triples", pa.int64()),
+])
+
+
+class TripleSink:
+    """Actor: :class:`TaggerLinker` over a batch of sentences that
+    carry a ``group`` column, with each group's linked triples written
+    under ``<triples_root>/group=<gid>/``.  Returns one
+    ``(group, sentences, triples)`` row per group slice of the batch,
+    in batch order.
+
+    A file's name is a digest of its slice: the first and last
+    ``(url, sent_id)`` and the row count.  It is written under a
+    dot-prefixed temp name (which parquet readers skip) and renamed, so
+    a replayed actor task replaces its own file instead of adding a
+    second copy."""
+
+    def __init__(self, tagger: str, model_paths: dict, corpus_dir: str,
+                 triples_root: str):
+        self.chain = TaggerLinker(tagger, model_paths, corpus_dir)
+        self.root = triples_root
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if not batch.num_rows:
+            return SINK_STATS_SCHEMA.empty_table()
+        groups = batch.column("group").to_numpy(zero_copy_only=False)
+        cuts = [0, *(np.flatnonzero(groups[1:] != groups[:-1]) + 1), len(groups)]
+        rows = {name: [] for name in SINK_STATS_SCHEMA.names}
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = batch.slice(lo, hi - lo).drop_columns(["group"])
+            linked = self.chain(part)
+            if linked.num_rows:
+                self._write(linked, groups[lo], part)
+            rows["group"].append(groups[lo])
+            rows["sentences"].append(part.num_rows)
+            rows["triples"].append(linked.num_rows)
+        return pa.Table.from_pydict(rows, schema=SINK_STATS_SCHEMA)
+
+    def _write(self, table: pa.Table, gid: str, part: pa.Table) -> None:
+        url, sid = part.column("url"), part.column("sent_id")
+        ends = (url[0], sid[0], url[-1], sid[-1])
+        key = "\0".join(str(v.as_py()) for v in ends) + f"\0{part.num_rows}"
+        name = hashlib.sha1(key.encode()).hexdigest() + ".parquet"
+        group_dir = os.path.join(self.root, f"group={gid}")
+        os.makedirs(group_dir, exist_ok=True)
+        tmp = os.path.join(group_dir, f".{os.getpid()}-{name}")
+        pq.write_table(table, tmp)
+        os.replace(tmp, os.path.join(group_dir, name))

@@ -5,6 +5,13 @@ files, per-stage row counts, output directory, wall time.  A killed run
 resumes by skipping groups already recorded — at-least-once semantics
 with output isolation per group (each group writes only under its own
 ``group=<id>/`` directory, so partial runs never interleave).
+
+``run_kg`` streams all of its pending groups through one ordered
+Dataset, and :func:`completed_groups` folds that stream's per-slice
+counts into records: they commit in stream order, each group once a
+row of a later group arrives or the stream ends.  A record's
+``wall_sec`` is the time since the previous commit (or since the
+stream started), so the group times sum to the stream phase.
 """
 
 from __future__ import annotations
@@ -12,7 +19,37 @@ from __future__ import annotations
 import json
 import os
 
-__all__ = ["Manifest"]
+__all__ = ["Manifest", "completed_groups", "GroupOrderError"]
+
+
+class GroupOrderError(RuntimeError):
+    """A stream row belongs to a group that is not planned or has
+    already been committed."""
+
+
+def completed_groups(planned: list, rows):
+    """Fold ordered ``{"group", "sentences", "triples"}`` rows into
+    completed groups: yield ``(gid, sentences, triples)`` for each id
+    of ``planned`` in order — a group as soon as a row of a later group
+    arrives, the rest when ``rows`` ends.  A planned group with no rows
+    yields zeros.  A row of an earlier (already yielded) or unplanned
+    group raises :class:`GroupOrderError`; no count is yielded twice."""
+    pos = {gid: i for i, gid in enumerate(planned)}
+    i = sentences = triples = 0
+    for row in rows:
+        j = pos.get(row["group"])
+        if j is None or j < i:
+            raise GroupOrderError(
+                f"a row of group {row['group']!r} is out of stream order: "
+                f"the groups still open are {planned[i:]}")
+        while i < j:
+            yield planned[i], sentences, triples
+            i, sentences, triples = i + 1, 0, 0
+        sentences += row["sentences"]
+        triples += row["triples"]
+    while i < len(planned):
+        yield planned[i], sentences, triples
+        i, sentences, triples = i + 1, 0, 0
 
 
 class Manifest:

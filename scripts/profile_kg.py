@@ -1,11 +1,12 @@
 """Per-operator profile of the flagship pipeline (Ray Data stats).
 
 Usage: python scripts/profile_kg.py [sf_dir]
-Runs the streaming phase (pages → linked triples parquet) and the graph
-phase over its output, then prints per-operator wall, CPU and output
-rows of each from the structured stats summary — the same walk
-(``pipelines.kg.operator_stats``) that fills ``run_kg``'s lineage
-records.  Wall and CPU are summed over each operator's tasks.
+Runs ``run_kg`` over the corpus in 2-file partition groups (one
+streaming Dataset for all of them) and prints the per-operator wall,
+CPU and output rows of that stream (``run_kg``'s ``stream_ops``, the
+``pipelines.kg.operator_stats`` walk), then the same for the graph
+phase rebuilt over its triples.  Wall and CPU are summed over each
+operator's tasks.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def _print_ops(title: str, wall: float, summary) -> None:
-    from kgray.pipelines.kg import operator_stats
-
+def _print_ops(title: str, wall: float, ops: list) -> None:
     print(f"{title}: {wall:.1f}s")
-    for op in operator_stats(summary):
+    for op in ops:
         print(f"  {op['name'][:90]:<92} wall={op['wall_s']:.2f}s "
               f"cpu={op['cpu_s']:.2f}s rows={op['rows_out']}")
 
@@ -44,26 +43,26 @@ def main():
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    from kgray.pipelines.kg import kg_dataset, page_files
+    from kgray.pipelines.kg import kg_dataset, operator_stats, page_files, run_kg
     from kgray.sources.derived import corpus_for_sf, models_for_corpus
     from kgray.stages.canonical import canonical_graph
 
     corpus = corpus_for_sf(sf_dir)
     model_dir = models_for_corpus(corpus, tagger="hmm")
-    files = page_files(corpus)
-    kg_dataset(files[:1], corpus, model_dir).count()      # warmup
+    kg_dataset(page_files(corpus)[:1], corpus, model_dir).count()    # warmup
 
-    with tempfile.TemporaryDirectory() as triples_dir:
+    with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
-        ds = kg_dataset(files, corpus, model_dir)
-        ds.write_parquet(triples_dir)
+        stats = run_kg(corpus, out, model_dir=model_dir, tagger="hmm")
         t1 = time.perf_counter()
-        graph = canonical_graph(rd.read_parquet(triples_dir)).materialize()
+        graph = canonical_graph(
+            rd.read_parquet(os.path.join(out, "triples"))).materialize()
         t2 = time.perf_counter()
-        _print_ops("stream (pages → triples parquet)", t1 - t0,
-                   ds._write_ds._get_stats_summary())
+        _print_ops(f"run_kg, {len(stats['groups_run'])} groups in one stream "
+                   f"(+ graph phase {stats['graph_wall_sec']:.1f}s)", t1 - t0,
+                   stats["stream_ops"])
         _print_ops(f"graph ({graph.count()} rows)", t2 - t1,
-                   graph._get_stats_summary())
+                   operator_stats(graph._get_stats_summary()))
     ray.shutdown()
 
 

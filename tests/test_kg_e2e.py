@@ -138,32 +138,106 @@ def test_manifest_lineage(kg_run):
     assert g["exchange_sec"] + g["write_sec"] <= g["wall_sec"] + 0.001
 
 
-def test_lineage_needs_the_split_operator():
-    """Sentences are the output rows of exactly one operator ending in
-    ``MapBatches(split_sentences)``; a plan where that operator is
-    missing (fused into the actor) or doubled raises, never guesses."""
-    from types import SimpleNamespace
+def test_one_pool_per_call(kg_run):
+    """Both groups of the tiny corpus stream through one Dataset: its
+    executed plan has exactly one actor-pool operator."""
+    _, _, _, stats = kg_run
+    assert len(stats["groups_run"]) == 2
+    pools = [op["name"] for op in stats["stream_ops"]
+             if "MapBatches(TripleSink)" in op["name"]]
+    assert len(pools) == 1, [op["name"] for op in stats["stream_ops"]]
+    assert not any("TaggerLinker" in op["name"] or "Write" in op["name"]
+                   for op in stats["stream_ops"])
 
-    def op(name, rows):
-        return SimpleNamespace(operator_name=name, wall_time={"sum": 1.0},
-                               cpu_time={"sum": 0.5}, udf_time=None,
-                               output_num_rows={"sum": rows})
 
-    def summary(*ops, parents=()):
-        return SimpleNamespace(operators_stats=list(ops), parents=list(parents))
+def _rows(*spec):
+    return [{"group": g, "sentences": s, "triples": t} for g, s, t in spec]
 
-    split = "ReadParquet->MapBatches(extract_text)->MapBatches(split_sentences)"
-    write = op("Write", 5)
-    ok = summary(op("MapBatches(TaggerLinker)", 5), write,
-                 parents=[summary(op(split, 7))])
-    assert [o["name"] for o in kg.operator_stats(ok)] == [
-        split, "MapBatches(TaggerLinker)", "Write"]
-    assert kg._sentences(ok) == 7
-    fused = summary(op(split + "->MapBatches(TaggerLinker)", 5), write)
-    doubled = summary(op(split, 7), op(split, 7), write)
-    for bad in (fused, doubled):
-        with pytest.raises(kg.LineageError, match="split_sentences"):
-            kg._sentences(bad)
+
+def test_commit_fold_batch_spans_groups():
+    """A batch spanning two groups gives one row per slice; each group
+    commits once a later group's row arrives, the last at the end."""
+    from kgray.state.manifest import completed_groups
+
+    pulled = []
+
+    def stream():
+        for row in _rows(("g0", 5, 2), ("g0", 3, 1), ("g1", 4, 0),
+                         ("g1", 2, 2), ("g2", 1, 1)):
+            pulled.append(row["group"])
+            yield row
+
+    fold = completed_groups(["g0", "g1", "g2"], stream())
+    assert next(fold) == ("g0", 8, 3)
+    assert pulled == ["g0", "g0", "g1"]         # no row past g1's first
+    assert next(fold) == ("g1", 6, 2)
+    assert pulled[-1] == "g2"
+    assert next(fold) == ("g2", 1, 1)            # the stream's end
+    with pytest.raises(StopIteration):
+        next(fold)
+
+
+def test_commit_fold_empty_groups_commit_zeros():
+    from kgray.state.manifest import completed_groups
+
+    got = list(completed_groups(["g0", "g1", "g2", "g3"],
+                                _rows(("g0", 2, 1), ("g2", 3, 3))))
+    assert got == [("g0", 2, 1), ("g1", 0, 0), ("g2", 3, 3), ("g3", 0, 0)]
+    assert list(completed_groups(["g0"], [])) == [("g0", 0, 0)]
+
+
+def test_commit_fold_out_of_order_raises():
+    """A row of an already committed group raises a named error; what
+    was committed before it stays exact and nothing commits twice."""
+    from kgray.state.manifest import GroupOrderError, completed_groups
+
+    fold = completed_groups(["g0", "g1", "g2"],
+                            _rows(("g0", 2, 1), ("g1", 3, 2), ("g0", 1, 1)))
+    assert next(fold) == ("g0", 2, 1)
+    with pytest.raises(GroupOrderError, match="'g0'"):
+        next(fold)
+    with pytest.raises(GroupOrderError, match="'gX'"):
+        list(completed_groups(["g0"], _rows(("gX", 1, 1))))
+
+
+def test_sink_replay_overwrites_its_own_file(ray_session, kg_run, tmp_path):
+    """A replayed actor task (Ray Data pools retry them) rewrites the
+    same file instead of adding a copy, and a leftover dot-prefixed
+    temp file is never read as triples."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from kgray.stages.extract import extract_text, split_sentences
+    from kgray.stages.kg import TripleSink
+
+    corpus_dir, _, model_dir, _ = kg_run
+    files = kg.page_files(corpus_dir)[:2]
+    pages = pa.concat_tables(pq.read_table(f, columns=["url", "html", "lang"])
+                             for f in files)
+    sents = split_sentences(extract_text(pages))
+    half = sents.num_rows // 2
+    gids = ["g00000"] * half + ["g00001"] * (sents.num_rows - half)
+    batch = sents.append_column("group", pa.array(gids, type=pa.string()))
+    with open(os.path.join(model_dir, "models.json")) as f:
+        paths = json.load(f)["hmm"]
+    root = str(tmp_path / "triples")
+    sink = TripleSink("hmm", paths, corpus_dir, root)
+    first = sink(batch)
+    assert first.column("group").to_pylist() == ["g00000", "g00001"]
+    assert first.column("sentences").to_pylist() == [half, sents.num_rows - half]
+    written = sorted(glob.glob(os.path.join(root, "*", "*.parquet")))
+    assert len(written) == 2                       # one per (group, slice)
+    total = sum(pq.read_metadata(f).num_rows for f in written)
+    assert total == sum(first.column("triples").to_pylist()) > 0
+    # the retry runs on the same actor, or on a restarted one
+    for replay in (sink, TripleSink("hmm", paths, corpus_dir, root)):
+        assert replay(batch).equals(first)
+        assert sorted(glob.glob(os.path.join(root, "*", "*.parquet"))) == written
+        assert sum(pq.read_metadata(f).num_rows for f in written) == total
+    # a writer killed between write and rename leaves its temp file
+    pq.write_table(pq.read_table(written[0]),
+                   os.path.join(os.path.dirname(written[0]), ".123-stale.parquet"))
+    assert rd.read_parquet(root).count() == total
 
 
 def test_resume_skips_done_groups(ray_session, tiny_corpus_dir, tmp_path):
@@ -283,4 +357,80 @@ def test_resume_from_foreign_process_manifest(ray_session, tiny_corpus_dir,
                     tagger="hmm")
     kg.run_kg(tiny_corpus_dir, out2,
               model_dir=os.path.join(out2, "models"))
+    assert _read_graph(out) == _read_graph(out2)
+
+
+def test_resume_after_kill_mid_stream(ray_session, tiny_corpus_dir, tmp_path):
+    """SIGKILL the driver after the stream committed its first group
+    but not its second: the resume skips the committed group, clears
+    the uncommitted one's files and ends in a clean run's graph."""
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+    import time
+
+    out = str(tmp_path / "kg_killed")
+    model_dir = os.path.join(out, "models")
+    kg.build_models(tiny_corpus_dir, model_dir, tagger="hmm")
+    manifest = os.path.join(out, "manifest.jsonl")
+    # the driver stalls right after its first commit, so the kill lands
+    # between two commits of one stream
+    script = textwrap.dedent(f"""
+        import time, ray
+        ray.init(address="local", num_cpus=4, include_dashboard=False,
+                 logging_level="ERROR")
+        from kgray.state import manifest
+        from kgray.pipelines import kg
+        append = manifest.Manifest.append
+        def stall_after_first(m, record):
+            append(m, record)
+            time.sleep(600)
+        manifest.Manifest.append = stall_after_first
+        kg.run_kg({tiny_corpus_dir!r}, {out!r}, model_dir={model_dir!r})
+    """)
+    env = dict(os.environ)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = repo + os.pathsep + env.get("PYTHONPATH", "")
+    log = tmp_path / "driver.log"
+
+    def committed():
+        if not os.path.exists(manifest):
+            return []
+        with open(manifest) as f:
+            return [json.loads(line)["group_id"] for line in f]
+
+    uncommitted = os.path.join(out, "triples", "group=g00001")
+    with open(log, "w") as err:
+        # its own session: the kill takes the driver's local Ray
+        # daemons with it, so none outlives the test
+        proc = subprocess.Popen([sys.executable, "-c", script], cwd="/tmp",
+                                env=env, stdout=err, stderr=err,
+                                start_new_session=True)
+    try:
+        deadline = time.monotonic() + 300
+        # wait for g00000's record and for g00001's triples on disk
+        while not (committed()
+                   and glob.glob(os.path.join(uncommitted, "*.parquet"))):
+            assert proc.poll() is None, log.read_text()[-2000:]
+            assert time.monotonic() < deadline, "no commit within 300 s"
+            time.sleep(0.1)
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+    assert committed() == ["g00000"]
+    resumed = time.time()
+    s2 = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir)
+    assert s2["groups_skipped"] == ["g00000"]
+    assert s2["groups_run"] == ["g00001"]
+    assert committed() == ["g00000", "g00001", "__graph__"]
+    files = glob.glob(os.path.join(uncommitted, "*.parquet"))
+    assert files and all(os.path.getmtime(f) >= resumed for f in files)
+    with open(manifest) as f:
+        rec = [r for r in map(json.loads, f) if r["group_id"] == "g00001"]
+    assert rec[0]["triples_out"] == sum(pq.read_metadata(f).num_rows
+                                        for f in files)
+    out2 = str(tmp_path / "kg_unkilled")
+    kg.build_models(tiny_corpus_dir, os.path.join(out2, "models"), tagger="hmm")
+    kg.run_kg(tiny_corpus_dir, out2, model_dir=os.path.join(out2, "models"))
     assert _read_graph(out) == _read_graph(out2)

@@ -8,6 +8,7 @@ and it must either fit the cluster (below the CPU count) or raise
 the test session's."""
 
 import json
+import os
 from functools import partial
 
 import pytest
@@ -50,6 +51,15 @@ def fake_models(tmp_path_factory):
     return str(d)
 
 
+def _grouped(files, corpus, model_dir, tagger="hmm"):
+    """The plan ``run_kg`` builds: every group of ``files`` in one
+    stream, written under a triples root that is never created."""
+    groups = {os.path.basename(f): gid
+              for gid, fs in kg.partition_groups(files) for f in fs}
+    return kg.kg_dataset(files, corpus, model_dir, tagger=tagger,
+                         groups=groups, triples_root="/nonexistent/triples")
+
+
 def _plans(corpus: str, model_dir: str) -> dict:
     """name → plan builder."""
     import __ray_entry__ as entry
@@ -65,6 +75,7 @@ def _plans(corpus: str, model_dir: str) -> dict:
         plans[f"{tagger}_tags_valid"] = partial(entry._tags_valid, "sf", tagger)
     plans["kg_dataset(hmm, linked, zh)"] = partial(
         kg.kg_dataset, files, corpus, model_dir, lang="zh")
+    plans["run_kg stream"] = partial(_grouped, files, corpus, model_dir)
     plans["kg_alias_patch relink"] = partial(graph.kg_alias_patch, "sf",
                                              plan="full")
     plans["transformer_trained_tags"] = partial(
@@ -104,9 +115,10 @@ def test_every_pool_plan_fits_or_raises(ray_session, tiny_corpus_dir,
 def test_budget_keeps_sound_sizes(ray_session, tiny_corpus_dir, fake_models,
                                   tmp_path, monkeypatch):
     """The flagship's one fused pool takes every CPU but two: 2 actors
-    for both benchmark workloads on 4 CPUs, 30 at 32 CPUs for every
-    tagger, 1 for a 2-file group of the 120-page test corpus and at 2
-    or 3 CPUs; only a 1-CPU cluster raises.  A lone tagger pool
+    for both benchmark workloads on 4 CPUs (one stream over all
+    groups), 30 at 32 CPUs for every tagger, 1 for the two groups of
+    the 120-page test corpus and at 2 or 3 CPUs; only a 1-CPU cluster
+    raises.  A lone tagger pool
     (``until="tagged"`` or ``"surface"``) keeps the tagger's share:
     24 HMM and 28 CRF/transformer actors at 32 CPUs."""
     from kgray.pipelines import multimodal
@@ -124,16 +136,17 @@ def test_budget_keeps_sound_sizes(ray_session, tiny_corpus_dir, fake_models,
     _cpus(monkeypatch, 32)
     for tagger in TAGGERS:
         assert sizes(big, tagger) == [30]
+        assert _pool_sizes(_grouped(big, stream, fake_models, tagger)) == [30]
     for until in ("tagged", "surface"):
         assert sizes(big, until=until) == [24]
         assert sizes(big, "crf", until) == [28]
         assert sizes(big, "transformer", until) == [28]
     _cpus(monkeypatch, 4)
     assert sizes(kg.page_files(stream)) == [2]
-    for _, files in kg.partition_groups(kg.page_files(grouped)):
-        assert sizes(files) == [2]
-    for _, files in kg.partition_groups(kg.page_files(tiny_corpus_dir)):
-        assert sizes(files) == [1]
+    assert _pool_sizes(_grouped(kg.page_files(grouped), grouped,
+                                fake_models)) == [2]
+    assert _pool_sizes(_grouped(kg.page_files(tiny_corpus_dir),
+                                tiny_corpus_dir, fake_models)) == [1]
     for cpus in (2, 3):
         _cpus(monkeypatch, cpus)
         assert sizes(kg.page_files(stream)) == [1]
