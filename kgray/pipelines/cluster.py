@@ -5,20 +5,18 @@ The dedup family (``pipelines/dedup.py``) stops at verified pair
 lists; a training-data pipeline must then pick ONE document per
 near-dup cluster.  This module closes that gap with a distributed
 connected-components operator (iterated min-label propagation —
-the classic Pregel-style formulation) built from this repo's own
-exchange primitives:
+the classic Pregel-style formulation) over the graph primitive
+:class:`~kgray.stages.propagate.EdgeIndex`:
 
-* labels live in a ``(node, label)`` Dataset (never broadcast — the
-  node set is corpus-sized at 100 TB),
-* edges are expanded once into a bidirectional adjacency, so each
-  iteration is ONE ``sorted_merge_join`` (neighbor labels delivered to
-  every endpoint) plus one ``sorted_group_aggregate(min)`` fold with
-  the previous labels — two exchanges per round,
-* labels only decrease, so the total label sum strictly decreases
-  until the fixpoint — convergence is detected by an unchanged sum
-  (summed in Python: no overflow), reached in ≤ diameter iterations
-  (near-dup clusters are shallow: stars from degenerate buckets have
-  diameter 2).
+* the pairs are indexed once over the sorted node universe, so node
+  ``i``'s initial label ``i`` orders like its id,
+* each iteration is ONE undirected ``min`` sweep (every node takes
+  the smallest label among itself and its neighbours) on the index's
+  shuffle plan: each edge block gets only its range of the label
+  vector,
+* labels only decrease, so an unchanged label vector is the fixpoint,
+  reached in ≤ diameter iterations (near-dup clusters are shallow:
+  stars from degenerate buckets have diameter 2).
 
 The cluster id is the component's minimum node id, which doubles as
 the canonical ``keep_doc_id``.
@@ -34,6 +32,7 @@ import ray.data as rd
 
 from ..stages.aggregate import sorted_group_aggregate
 from ..stages.join import sorted_merge_join
+from ..stages.propagate import EdgeIndex
 
 __all__ = ["connected_components", "neardup_clusters"]
 
@@ -42,22 +41,12 @@ def _as_dataset(pairs):
     return rd.from_arrow(pairs) if isinstance(pairs, pa.Table) else pairs
 
 
-def _label_sum(labels) -> int:
-    """Exact total of the label column (Python ints — no overflow)."""
-    parts = labels.map_batches(
-        lambda b: pa.table({"s": pa.array(
-            [int(pc.sum(b.column("label")).as_py() or 0)], type=pa.int64())}),
-        batch_format="pyarrow", zero_copy_batch=True).take_all()
-    return sum(r["s"] for r in parts)
-
-
 # dense-plan switch (same rule class as pagerank's / kcore's): at or
 # below this many PAIRS the edge list collects once and a driver-side
-# union-find resolves in microseconds — each distributed label round
-# costs two full exchanges (~2-4 s of fixed overhead each), which
-# dwarfs small inputs.  min-label union-find and min-label propagation
-# compute the SAME fixpoint, so the plans are output-identical (pinned
-# by the fixture oracles that predate this switch).
+# union-find resolves it with no label rounds at all.  min-label
+# union-find and min-label propagation compute the SAME fixpoint, so
+# the plans are output-identical (pinned by the fixture oracles that
+# predate this switch).
 _CC_DENSE_MAX_PAIRS = 2_000_000
 
 
@@ -103,63 +92,29 @@ def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b",
     if plan == "auto":
         # early-exit size probe: limit() stops the stream as soon as
         # threshold+1 rows exist, so an over-threshold input is never
-        # pinned (the shuffle path below pins only the adjacency,
-        # exactly as before the dense plan existed); an under-threshold
-        # input re-executes its (small) lineage once for the pin
+        # pinned (the shuffle path below pins only its edge index);
+        # an under-threshold input re-executes its (small) lineage
+        # once for the pin
         probe = pairs.limit(_CC_DENSE_MAX_PAIRS + 1).count()
         if probe <= _CC_DENSE_MAX_PAIRS:
             return _cc_dense(pairs.materialize(), id_a, id_b)
 
-    def to_edges(b: pa.Table) -> pa.Table:
-        return pa.table({"a": pc.cast(b.column(id_a), pa.int64()),
-                         "b": pc.cast(b.column(id_b), pa.int64())})
-
-    def to_adj(b: pa.Table) -> pa.Table:
-        """Each undirected edge becomes two directed rows — one join on
-        ``src`` then delivers neighbor labels to every endpoint."""
-        a = b.column("a").to_numpy(zero_copy_only=False)
-        bb = b.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({"src": pa.array(np.concatenate([a, bb]), type=pa.int64()),
-                         "dst": pa.array(np.concatenate([bb, a]), type=pa.int64())})
-
-    adj = (pairs.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
-           .map_batches(to_adj, batch_format="pyarrow").materialize())
-
-    def to_nodes(b: pa.Table) -> pa.Table:
-        return pa.table({"node": b.column("src"), "label": b.column("src")})
-
-    labels = sorted_group_aggregate(
-        adj.map_batches(to_nodes, batch_format="pyarrow"),
-        "node", [("label", "min")]).materialize()
-    if labels.count() == 0:
+    idx = EdgeIndex(pairs.map_batches(lambda b: pa.table({
+        "src": pc.cast(b.column(id_a), pa.int64()),
+        "dst": pc.cast(b.column(id_b), pa.int64())}),
+        batch_format="pyarrow", zero_copy_batch=True), plan="shuffle")
+    if idx.n == 0:
         return rd.from_arrow(pa.table({"node": pa.array([], type=pa.int64()),
                                        "cluster_id": pa.array([], type=pa.int64())}))
-    prev_sum = _label_sum(labels)
-
+    # node i is the i-th smallest id, so the min position is the min id
+    label = np.arange(idx.n, dtype=np.int64)
     for _ in range(max_iters):
-        joined = sorted_merge_join(
-            adj,
-            labels.map_batches(lambda b: pa.table({"src": b.column("node"),
-                                                   "lsrc": b.column("label")}),
-                               batch_format="pyarrow"),
-            on="src")
-
-        def messages(b: pa.Table) -> pa.Table:
-            return pa.table({"node": b.column("dst"), "label": b.column("lsrc")})
-
-        labels = sorted_group_aggregate(
-            joined.map_batches(messages, batch_format="pyarrow")
-                  .union(labels),
-            "node", [("label", "min")]).materialize()
-        cur = _label_sum(labels)
-        if cur == prev_sum:
+        nxt = np.minimum(label, idx.sweep(label, "min", "both"))
+        if (nxt == label).all():
             break
-        prev_sum = cur
-
-    return labels.map_batches(
-        lambda b: pa.table({"node": b.column("node"),
-                            "cluster_id": b.column("label")}),
-        batch_format="pyarrow", zero_copy_batch=True)
+        label = nxt
+    return rd.from_arrow(pa.table({
+        "node": idx.nodes, "cluster_id": idx.nodes.take(pa.array(label))}))
 
 
 def neardup_clusters(sf_dir: str, threshold: float = 0.5):

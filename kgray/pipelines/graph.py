@@ -1,24 +1,27 @@
-"""Iterative graph analytics over the extracted knowledge graph:
-deterministic distributed PageRank.
+"""Iterative graph analytics over the extracted knowledge graph and the
+co-purchase graph — PageRank, personalized PageRank, HITS, k-core,
+bounded-BFS entity distance, label-propagation communities, Borůvka
+spanning forest, pointer-doubling chain resolution — plus the
+KG-quality audits over the materialized graph checkpoint.
 
-Float PageRank is NOT reproducible on a distributed engine — per-node
-incoming sums depend on block splits and merge order.  This
-implementation therefore runs in FIXED POINT: ranks are int64
-micro-units (UNIT = 10^12), contributions are integer divisions, and
-every aggregate is an integer sum (order-independent), so the result
-is bit-identical across runs, partitionings and cluster sizes — which
-is what makes the committed fixture an exact oracle.
+PageRank, PPR, HITS, k-core and entity distance are each ONE
+recurrence over one primitive, :class:`~kgray.stages.propagate.EdgeIndex`:
+the distinct edges indexed once over the sorted node universe, and one
+sweep ``y = A ⊗ x`` under ``sum`` or ``min``.  Its dense plan
+(broadcast vector over pinned int edge blocks) and shuffle plan (each
+block gets its range of the vector, partials reduced by target range)
+serve all five and switch at ``_DENSE_MAX_NODES`` nodes; each
+algorithm's ``plan=`` argument forces one.
 
-Per iteration (all distributed, reusing the engine's own operators):
-  contrib(u→v) = rank(u) // outdeg(u)             (broadcast-free:
-      edges ⋈ ranks via sorted_merge_join on src — node-sized right)
-  in(v)        = Σ contrib                        (sorted_group_aggregate)
-  dangling     = Σ rank(u) over outdeg(u)=0       (driver scalar)
-  rank'(v)     = (1−d)·UNIT/N + d·(in(v) + dangling/N)
-with d = 17/20 (0.85) in exact integer arithmetic.
-
-Rounding drift vs real-valued PageRank is ≤ iterations · N / UNIT —
-~1e-6 at a million nodes — pinned by a numpy-float comparison test.
+Float ranks are NOT reproducible on a distributed engine — per-node
+sums depend on block splits and merge order.  The recurrences here
+therefore run in FIXED POINT: ranks are int64 micro-units
+(UNIT = 10^12), contributions are integer divisions, and every
+reduction is an integer sum or min (order-independent), so results are
+bit-identical across runs, partitionings, plans and cluster sizes —
+which is what makes the committed fixtures exact oracles.  PageRank's
+rounding drift vs real-valued PageRank is ≤ iterations · N / UNIT
+(~1e-6 at a million nodes), pinned by a numpy-float comparison test.
 """
 
 from __future__ import annotations
@@ -28,205 +31,32 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..stages.propagate import _DENSE_MAX_NODES, EdgeIndex
+
 __all__ = ["pagerank", "entity_pagerank", "kcore", "copurchase_kcore",
-           "ppr", "entity_ppr"]
+           "hits", "entity_hits", "label_propagation", "entity_communities",
+           "resolve_chains", "doc_redirect_resolution", "ppr", "entity_ppr",
+           "part_components", "copurchase_degree_assortativity",
+           "copurchase_robustness", "copurchase_mst", "kg_entity_distance"]
 
 UNIT = 10 ** 12
 
 
-# plan switch (same rule class as dedup's broadcast-vs-join verify):
-# at or below this many nodes the rank/outdeg vectors broadcast as
-# numpy arrays (~16 MB at the limit) and each iteration is ONE streaming
-# map over the integer-indexed edges plus a sparse driver merge — no
-# sort exchange.  Above it, the shuffle plan (join + aggregate per
-# iteration) is the scale path.  Both plans run the SAME integer
-# arithmetic, so their outputs are bit-identical (pinned by test).
-_DENSE_MAX_NODES = 2_000_000
-
-# kcore's dense-peel switch: edge LIST must fit the driver (16 bytes/edge
-# → ~80 MB at the limit); above it the per-round semi-join plan runs
-_KCORE_DENSE_MAX_EDGES = 5_000_000
-
-
 def pagerank(edges, iters: int = 10, d_num: int = 17, d_den: int = 20,
              plan: str = "auto"):
-    """PageRank over an edge Dataset (``src``, ``dst`` string columns;
-    duplicate edges count once).  Returns a Dataset
-    (node, rank_fp:int64) with ranks in UNIT micro-units summing to
-    ~UNIT.  Deterministic (integer arithmetic throughout).
+    """PageRank over an edge Dataset (``src``, ``dst``; duplicate edges
+    count once).  Returns a Dataset (node, rank_fp:int64), nodes in
+    sorted order, ranks in UNIT micro-units summing to ~UNIT:
 
-    ``plan``: ``"dense"`` (broadcast node vectors, per-iteration map +
-    sparse merge), ``"shuffle"`` (join + aggregate per iteration), or
-    ``"auto"`` (dense at or below ``_DENSE_MAX_NODES`` nodes).
-    """
-    import ray
+        rank'(v) = (1−d)·UNIT/N + d·(in(v) + dangling/N)
 
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.join import sorted_merge_join
-
-    assert plan in ("auto", "dense", "shuffle")
-
-    # distinct edges, then static per-source out-degrees
-    edges = sorted_group_aggregate(
-        edges.map_batches(lambda b: pa.table({
-            "src": b.column("src"), "dst": b.column("dst"),
-            "__one": pa.array(np.ones(b.num_rows, dtype=np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["src", "dst"], [("__one", "min")]).drop_columns(["__one"]) \
-        .materialize()
-
-    # node universe + out-degrees in ONE aggregate: src rows carry 1,
-    # dst rows carry 0, so pure-sink nodes appear with outdeg 0
-    ranks = sorted_group_aggregate(
-        edges.map_batches(lambda b: pa.table({
-            "node": pa.concat_arrays([
-                b.column("src").combine_chunks(),
-                b.column("dst").combine_chunks()]),
-            "outdeg": pa.array(np.r_[np.ones(b.num_rows, dtype=np.int64),
-                                     np.zeros(b.num_rows, dtype=np.int64)])}),
-            batch_format="pyarrow"),
-        "node", [("outdeg", "sum")]).materialize()
-    n_nodes = ranks.count()
-    if n_nodes == 0:
-        return rd.from_arrow(pa.table({
-            "node": pa.array([], type=pa.string()),
-            "rank_fp": pa.array([], type=pa.int64())}))
-
-    base = ((d_den - d_num) * UNIT) // (d_den * n_nodes)
-
-    if plan == "dense" or (plan == "auto" and n_nodes <= _DENSE_MAX_NODES):
-        return _pagerank_dense(edges, ranks, n_nodes, base, iters,
-                               d_num, d_den)
-
-    ranks = ranks.map_batches(lambda b: pa.table({
-        "node": b.column("node"),
-        "rank_fp": pa.array(
-            np.full(b.num_rows, UNIT // n_nodes, dtype=np.int64)),
-        "outdeg": b.column("outdeg")}),
-        batch_format="pyarrow").materialize()
-
-    for _ in range(iters):
-        # dangling mass (outdeg == 0) — one small driver scalar over the
-        # already-materialized node-sized ranks
-        dangling = ranks.map_batches(
-            lambda b: pa.table({"d": pa.array([int(pc.sum(pc.if_else(
-                pc.equal(b.column("outdeg"), pa.scalar(0, type=pa.int64())),
-                b.column("rank_fp"),
-                pa.scalar(0, type=pa.int64()))).as_py() or 0)],
-                type=pa.int64())}),
-            batch_format="pyarrow").sum("d") or 0
-        share = int(dangling) // n_nodes
-
-        # ONE join (edges ⋈ ranks on src) + ONE aggregate per iteration:
-        # zero-contribution rows for every node ride the same aggregate
-        # (sum picks up real contribs, max recovers the node's outdeg —
-        # zero rows carry it, contrib rows carry 0 ≤ any outdeg)
-        contribs = sorted_merge_join(
-            edges,
-            ranks.map_batches(lambda b: pa.table({
-                "src": b.column("node"),
-                "rank_fp": b.column("rank_fp"),
-                "outdeg": b.column("outdeg")}), batch_format="pyarrow"),
-            on="src").map_batches(
-            lambda b: pa.table({
-                "node": b.column("dst"),
-                "in_fp": pc.divide(b.column("rank_fp"),
-                                   b.column("outdeg")),
-                "odcarry": pa.array(np.zeros(b.num_rows, dtype=np.int64))}),
-            batch_format="pyarrow")
-        zeros = ranks.map_batches(lambda b: pa.table({
-            "node": b.column("node"),
-            "in_fp": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
-            "odcarry": b.column("outdeg")}), batch_format="pyarrow")
-
-        ranks = sorted_group_aggregate(
-            contribs.union(zeros), "node",
-            [("in_fp", "sum"), ("odcarry", "max")]).map_batches(
-            lambda b, _s=share: pa.table({
-                "node": b.column("node"),
-                "rank_fp": pc.add(
-                    pa.scalar(base, type=pa.int64()),
-                    pc.divide(pc.multiply(
-                        pc.add(b.column("in_fp"),
-                               pa.scalar(_s, type=pa.int64())),
-                        pa.scalar(d_num, type=pa.int64())),
-                        pa.scalar(d_den, type=pa.int64()))),
-                "outdeg": b.column("odcarry")}),
-            batch_format="pyarrow").materialize()
-
-    return ranks.map_batches(lambda b: b.select(["node", "rank_fp"]),
-                             batch_format="pyarrow")
-
-
-def _pagerank_dense(edges, node_outdeg, n_nodes: int, base: int,
-                    iters: int, d_num: int, d_den: int):
-    """Dense-plan iterations: node↔int index built once (node-sized
-    driver table — the plan is only selected when that fits), edges
-    integer-indexed ONCE and kept distributed; each iteration broadcasts
-    the rank vector (``ray.put``), streams one map over the indexed
-    edges emitting SPARSE per-block (idx, contribution-sum) partials,
-    and merges them on the driver with order-independent integer adds —
-    bit-identical to the shuffle plan's join + aggregate."""
-    import ray
-
-    # node universe with out-degrees, sorted for a deterministic index
-    nt = pa.concat_tables(
-        [t for t in ray.get(node_outdeg.to_arrow_refs()) if t.num_rows])
-    nt = nt.take(pc.sort_indices(nt, sort_keys=[("node", "ascending")]))
-    nodes = nt.column("node")
-    outdeg = nt.column("outdeg").to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    index = {n: i for i, n in enumerate(nodes.to_pylist())}
-    idx_ref = ray.put(index)
-    outdeg_ref = ray.put(outdeg)
-
-    def to_idx(batch: pa.Table) -> pa.Table:
-        ix = ray.get(idx_ref)
-        si = np.array([ix[s] for s in batch.column("src").to_pylist()],
-                      dtype=np.int64)
-        di = np.array([ix[s] for s in batch.column("dst").to_pylist()],
-                      dtype=np.int64)
-        return pa.table({"si": pa.array(si), "di": pa.array(di)})
-
-    int_edges = edges.map_batches(to_idx, batch_format="pyarrow",
-                                  zero_copy_batch=True).materialize()
-
-    # The iteration loop uses RAW Ray tasks over the pinned edge blocks:
-    # the Dataset API would re-enter the streaming executor per
-    # iteration (~0.3-0.5 s fixed overhead each at 32 CPUs — measured
-    # dominating this stage at sf0.1), while the loop's shape (static
-    # blocks × changing broadcast vector) is exactly the task-graph
-    # escape hatch.  Blocks stay in the object store; only (idx, sum)
-    # sparse partials ever return.
-    edge_block_refs = [r for r in int_edges.to_arrow_refs()]
-
-    @ray.remote
-    def contribs(batch: pa.Table, rv: np.ndarray, od: np.ndarray):
-        if batch.num_rows == 0:
-            return None
-        si = batch.column("si").to_numpy(zero_copy_only=False)
-        di = batch.column("di").to_numpy(zero_copy_only=False)
-        c = rv[si] // od[si]
-        uniq, inv = np.unique(di, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, c)
-        return uniq, sums
-
-    r = np.full(n_nodes, UNIT // n_nodes, dtype=np.int64)
-    dangle_mask = outdeg == 0
-    for _ in range(iters):
-        share = int(r[dangle_mask].sum()) // n_nodes
-        r_ref = ray.put(r)
-        parts = ray.get([contribs.remote(b, r_ref, outdeg_ref)
-                         for b in edge_block_refs])
-        in_fp = np.zeros(n_nodes, dtype=np.int64)
-        for p in parts:
-            if p is not None:
-                np.add.at(in_fp, p[0], p[1])
-        r = base + ((in_fp + share) * d_num) // d_den
-
-    return rd.from_arrow(pa.table({"node": nodes,
-                                   "rank_fp": pa.array(r, type=pa.int64())}))
+    with d = d_num/d_den in exact integer arithmetic.  This is
+    :func:`ppr` with every node a seed: its base, initial rank,
+    dangling share and update are then exactly these.  ``plan``:
+    ``"dense"``, ``"shuffle"`` or ``"auto"`` (see
+    ``stages/propagate.py``)."""
+    return ppr(edges, None, iters=iters, d_num=d_num, d_den=d_den,
+               plan=plan)
 
 
 def entity_pagerank(sf_dir: str, iters: int = 10):
@@ -234,18 +64,7 @@ def entity_pagerank(sf_dir: str, iters: int = 10):
     canonical triples) — 'which entities sit at the center of the
     corpus'.  Deterministic fixed-point ranks (fixture oracle; accuracy
     vs real-valued power iteration pinned in tests)."""
-    from ..sources.derived import corpus_for_sf, models_for_corpus
-    from ..stages.canonical import canonical_graph
-    from .kg import kg_dataset, page_files
-
-    corpus = corpus_for_sf(sf_dir)
-    model_dir = models_for_corpus(corpus, tagger="hmm")
-    graph = canonical_graph(
-        kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm"))
-    edges = graph.map_batches(lambda b: pa.table({
-        "src": b.column("subj"), "dst": b.column("obj")}),
-        batch_format="pyarrow")
-    return pagerank(edges, iters=iters)
+    return pagerank(_entity_edges(sf_dir), iters=iters)
 
 
 def kcore(edges, k: int, max_rounds: int = 60, plan: str = "auto"):
@@ -254,93 +73,26 @@ def kcore(edges, k: int, max_rounds: int = 60, plan: str = "auto"):
 
     ``edges``: Dataset (``src``, ``dst``), each undirected edge ONCE
     (``src < dst``), no self-loops.  Returns (``node``, ``core_degree``)
-    for nodes surviving in the k-core — ``core_degree`` is the node's
-    degree WITHIN the core, a pure function of the graph (peeling order
-    never changes the fixpoint, so the output is partitioning-exact and
-    plan-independent).
+    for nodes surviving in the k-core, in node order — ``core_degree``
+    is the node's degree WITHIN the core, a pure function of the graph
+    (peeling order never changes the fixpoint, so the output is
+    partitioning-exact and plan-independent).
 
-    ``plan="shuffle"`` (the scale path) per round — all edge/node-sized,
-    never fact-sized:
-      degrees = one aggregate over both endpoints;
-      dead    = nodes with degree < k (driver sees only the COUNT);
-      edges   = two distributed semi-joins against the alive node set.
-    Rounds are bounded by the peeling depth (≤ longest degeneracy
-    chain); each round materializes the shrunk edge set so lineage
-    stays O(1).  At web scale the alive set stays a Dataset end to end
-    — nothing node-sized is ever collected to the driver.
-
-    ``plan="dense"``: at or below ``_KCORE_DENSE_MAX_EDGES`` edges
-    (``auto``'s switch — same rule class as pagerank's) the edge list
-    collects once and peels vectorized (np.bincount per round) — the
-    peeling depth then costs microseconds per round instead of a sort
-    exchange.  Identical output (pinned by test)."""
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.semijoin import semi_join
-
-    assert plan in ("auto", "dense", "shuffle")
-
-    def endpoints(b: pa.Table) -> pa.Table:
-        v = np.concatenate([
-            b.column("src").to_numpy(zero_copy_only=False),
-            b.column("dst").to_numpy(zero_copy_only=False)])
-        return pa.table({"node": pa.array(v, type=pa.int64()),
-                         "core_degree": pa.array(
-                             np.ones(len(v), dtype=np.int64))})
-
-    def empty_result() -> pa.Table:
-        # NB Ray 2.49 `from_arrow(empty).to_pandas()` drops the schema
-        # (0 columns) — consumers of a possibly-empty core must check
-        # num_rows before touching columns (see test_kcore.py)
-        return pa.table({"node": pa.array([], type=pa.int64()),
-                         "core_degree": pa.array([], type=pa.int64())})
-
-    edges = edges.materialize()
-    if plan == "dense" or (plan == "auto"
-                           and edges.count() <= _KCORE_DENSE_MAX_EDGES):
-        import ray
-        tabs = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-        if not tabs:
-            return rd.from_arrow(empty_result())
-        et = pa.concat_tables(tabs, promote_options="permissive")
-        s = et.column("src").to_numpy(zero_copy_only=False)
-        d = et.column("dst").to_numpy(zero_copy_only=False)
-        nodes, inv = np.unique(np.concatenate([s, d]),
-                               return_inverse=True)
-        si, di = inv[:len(s)], inv[len(s):]
-        alive_e = np.ones(len(s), dtype=bool)
-        while True:
-            deg = np.bincount(si[alive_e], minlength=len(nodes)) \
-                + np.bincount(di[alive_e], minlength=len(nodes))
-            dead = (deg > 0) & (deg < k)
-            if not dead.any():
-                break
-            alive_e &= ~(dead[si] | dead[di])
-        keep = deg >= k
-        if not keep.any():
-            return rd.from_arrow(empty_result())
-        return rd.from_arrow(pa.table({
-            "node": pa.array(nodes[keep], type=pa.int64()),
-            "core_degree": pa.array(deg[keep].astype(np.int64))}))
-
+    Each round is one undirected sweep, ``deg = A·alive`` in both
+    directions (the alive neighbours of every node); the alive nodes
+    below ``k`` die together.  Rounds are bounded by the peeling
+    depth."""
+    idx = EdgeIndex(edges, plan)
+    alive = np.ones(idx.n, dtype=np.int64)
     for _ in range(max_rounds):
-        if edges.count() == 0:
-            return rd.from_arrow(empty_result())
-        deg = sorted_group_aggregate(
-            edges.map_batches(endpoints, batch_format="pyarrow",
-                              zero_copy_batch=True),
-            ["node"], [("core_degree", "sum")]).materialize()
-        n_dead = deg.filter(expr=f"core_degree < {int(k)}").count()
-        if n_dead == 0:
-            return deg
-        alive = deg.filter(expr=f"core_degree >= {int(k)}")
-        src_keys = alive.map_batches(
-            lambda b: pa.table({"src": b.column("node")}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        dst_keys = alive.map_batches(
-            lambda b: pa.table({"dst": b.column("node")}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        edges = semi_join(semi_join(edges, src_keys, on="src"),
-                          dst_keys, on="dst").materialize()
+        deg = idx.sweep(alive, direction="both") * alive
+        dead = (alive == 1) & (deg < k)
+        if not dead.any():
+            keep = alive == 1
+            return rd.from_arrow(pa.table({
+                "node": idx.nodes.filter(pa.array(keep)),
+                "core_degree": pa.array(deg[keep], type=pa.int64())}))
+        alive[dead] = 0
     raise RuntimeError(f"kcore: no fixpoint after {max_rounds} rounds")
 
 
@@ -359,7 +111,7 @@ def copurchase_kcore(sf_dir: str, k: int = 3, min_count: int = 2):
              .map_batches(lambda b: pa.table({
                  "src": b.column("part_a"), "dst": b.column("part_b")}),
                  batch_format="pyarrow", zero_copy_batch=True))
-    return kcore(edges, k=k).sort("node")
+    return kcore(edges, k=k)
 
 
 # ------------------------------------------------------------------ HITS
@@ -375,12 +127,11 @@ def _rescale_unit(x: np.ndarray) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _shift_for(x: np.ndarray, bits: int = 40) -> int:
-    """Uniform right-shift keeping max(x) under 2^bits — HITS is
+def _shifted(x: np.ndarray, bits: int = 40) -> np.ndarray:
+    """``x`` right-shifted uniformly until max(x) < 2^bits — HITS is
     scale-invariant, so a shared shift preserves the fixpoint exactly
     and is a pure function of the vector (plan-independent)."""
-    m = int(x.max()) if len(x) else 0
-    return max(0, m.bit_length() - bits)
+    return x >> max(0, int(x.max(initial=0)).bit_length() - bits)
 
 
 def hits(edges, iters: int = 20, plan: str = "auto"):
@@ -391,167 +142,16 @@ def hits(edges, iters: int = 20, plan: str = "auto"):
     controlled by a UNIFORM right-shift (scale invariance makes the
     two equivalent up to the final normalization); the returned
     ``hub_fp``/``auth_fp`` are rescaled once at the end to sum ≈ UNIT
-    with exact Python-int arithmetic.
-
-    Plans (same switch rule and bit-identity contract as
-    :func:`pagerank`, pinned by test): ``dense`` broadcasts the two
-    node vectors over integer-indexed pinned edge blocks (raw Ray
-    tasks — the per-iteration Dataset overhead dominates otherwise);
-    ``shuffle`` runs one sorted-merge join + one aggregate per
-    direction per iteration, all node/edge-sized."""
-    import ray
-
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.join import sorted_merge_join
-
-    assert plan in ("auto", "dense", "shuffle")
-
-    edges = sorted_group_aggregate(
-        edges.map_batches(lambda b: pa.table({
-            "src": b.column("src"), "dst": b.column("dst"),
-            "__one": pa.array(np.ones(b.num_rows, dtype=np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["src", "dst"], [("__one", "min")]).drop_columns(["__one"]) \
-        .materialize()
-
-    nodes_ds = sorted_group_aggregate(
-        edges.map_batches(lambda b: pa.table({
-            "node": pa.concat_arrays([
-                b.column("src").combine_chunks(),
-                b.column("dst").combine_chunks()]),
-            "__one": pa.array(np.ones(2 * b.num_rows, dtype=np.int64))}),
-            batch_format="pyarrow"),
-        "node", [("__one", "min")]).materialize()
-    n_nodes = nodes_ds.count()
-    if n_nodes == 0:
-        return rd.from_arrow(pa.table({
-            "node": pa.array([], type=pa.string()),
-            "hub_fp": pa.array([], type=pa.int64()),
-            "auth_fp": pa.array([], type=pa.int64())}))
-
-    if plan == "dense" or (plan == "auto" and n_nodes <= _DENSE_MAX_NODES):
-        return _hits_dense(edges, nodes_ds, n_nodes, iters)
-    return _hits_shuffle(edges, nodes_ds, n_nodes, iters,
-                         sorted_group_aggregate, sorted_merge_join)
-
-
-def _hits_dense(edges, nodes_ds, n_nodes: int, iters: int):
-    import ray
-
-    nt = pa.concat_tables(
-        [t for t in ray.get(nodes_ds.to_arrow_refs())
-         if t.num_rows and "node" in t.schema.names])
-    nt = nt.take(pc.sort_indices(nt, sort_keys=[("node", "ascending")]))
-    nodes = nt.column("node")
-    index = {n: i for i, n in enumerate(nodes.to_pylist())}
-    idx_ref = ray.put(index)
-
-    def to_idx(batch: pa.Table) -> pa.Table:
-        ix = ray.get(idx_ref)
-        si = np.array([ix[s] for s in batch.column("src").to_pylist()],
-                      dtype=np.int64)
-        di = np.array([ix[s] for s in batch.column("dst").to_pylist()],
-                      dtype=np.int64)
-        return pa.table({"si": pa.array(si), "di": pa.array(di)})
-
-    int_edges = edges.map_batches(to_idx, batch_format="pyarrow",
-                                  zero_copy_batch=True).materialize()
-    edge_block_refs = [r for r in int_edges.to_arrow_refs()]
-
-    @ray.remote
-    def push(batch: pa.Table, v: np.ndarray, forward: bool):
-        if batch.num_rows == 0 or "si" not in batch.schema.names:
-            return None
-        si = batch.column("si").to_numpy(zero_copy_only=False)
-        di = batch.column("di").to_numpy(zero_copy_only=False)
-        frm, to = (si, di) if forward else (di, si)
-        uniq, inv = np.unique(to, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, v[frm])
-        return uniq, sums
-
-    def sweep(v: np.ndarray, forward: bool) -> np.ndarray:
-        v_ref = ray.put(v)
-        parts = ray.get([push.remote(b, v_ref, forward)
-                         for b in edge_block_refs])
-        out = np.zeros(n_nodes, dtype=np.int64)
-        for p in parts:
-            if p is not None:
-                np.add.at(out, p[0], p[1])
-        return out >> np.int64(_shift_for(out))
-
-    h = np.full(n_nodes, 1 << 20, dtype=np.int64)
-    a = np.zeros(n_nodes, dtype=np.int64)
+    with exact Python-int arithmetic.  Each iteration is one forward
+    and one transposed sweep; ``plan`` as for :func:`pagerank`."""
+    idx = EdgeIndex(edges, plan)
+    h = np.full(idx.n, 1 << 20, dtype=np.int64)
+    a = np.zeros(idx.n, dtype=np.int64)
     for _ in range(iters):
-        a = sweep(h, True)        # auth(v) = Σ hub(u) over u→v
-        h = sweep(a, False)       # hub(u)  = Σ auth(v) over u→v
+        a = _shifted(idx.sweep(h))                      # Σ hub(u), u→v
+        h = _shifted(idx.sweep(a, direction="reverse"))  # Σ auth(v), u→v
     return rd.from_arrow(pa.table({
-        "node": nodes,
-        "hub_fp": pa.array(_rescale_unit(h), type=pa.int64()),
-        "auth_fp": pa.array(_rescale_unit(a), type=pa.int64())}))
-
-
-def _hits_shuffle(edges, nodes_ds, n_nodes: int, iters: int,
-                  sorted_group_aggregate, sorted_merge_join):
-    """One sorted-merge join + one aggregate per direction per
-    iteration; the uniform shift comes from a node-sized max partial
-    (identical arithmetic to the dense plan — bit-equal, pinned by
-    test)."""
-    import ray
-
-    vec = nodes_ds.map_batches(lambda b: pa.table({
-        "node": b.column("node"),
-        "v": pa.array(np.full(b.num_rows, 1 << 20, dtype=np.int64))}),
-        batch_format="pyarrow").materialize()
-    auth = None
-
-    def sweep(v_ds, key_from: str, key_to: str):
-        contrib = sorted_merge_join(
-            edges,
-            v_ds.map_batches(lambda b: pa.table({
-                key_from: b.column("node"), "v": b.column("v")}),
-                batch_format="pyarrow"),
-            on=key_from)
-        summed = sorted_group_aggregate(
-            contrib.map_batches(lambda b: pa.table({
-                "node": b.column(key_to), "v": b.column("v")}),
-                batch_format="pyarrow"),
-            "node", [("v", "sum")])
-        # reindex over the full universe (nodes with no in/out edges
-        # keep 0) — a left join of the node table against the sums
-        from ..stages.join import sorted_merge_join as smj
-        full = smj(nodes_ds.map_batches(
-            lambda b: b.select(["node"]), batch_format="pyarrow"),
-            summed, on="node", how="left")
-        full = full.map_batches(lambda b: pa.table({
-            "node": b.column("node"),
-            "v": pc.fill_null(b.column("v"), 0)}),
-            batch_format="pyarrow").materialize()
-        mx = max((r["m"] for r in full.map_batches(
-            lambda b: pa.table({"m": pa.array(
-                [int(pc.max(b.column("v")).as_py() or 0)],
-                type=pa.int64())}), batch_format="pyarrow").take_all()),
-            default=0)
-        sh = max(0, int(mx).bit_length() - 40)
-        return full.map_batches(lambda b: pa.table({
-            "node": b.column("node"),
-            "v": pc.shift_right(b.column("v"), sh)}),
-            batch_format="pyarrow").materialize()
-
-    for _ in range(iters):
-        auth = sweep(vec, "src", "dst")
-        vec = sweep(auth, "dst", "src")
-
-    ht = pa.concat_tables([t for t in ray.get(vec.to_arrow_refs())
-                           if t.num_rows and "node" in t.schema.names])
-    at = pa.concat_tables([t for t in ray.get(auth.to_arrow_refs())
-                           if t.num_rows and "node" in t.schema.names])
-    ht = ht.take(pc.sort_indices(ht, sort_keys=[("node", "ascending")]))
-    at = at.take(pc.sort_indices(at, sort_keys=[("node", "ascending")]))
-    h = ht.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-    a = at.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-    return rd.from_arrow(pa.table({
-        "node": ht.column("node"),
+        "node": idx.nodes,
         "hub_fp": pa.array(_rescale_unit(h), type=pa.int64()),
         "auth_fp": pa.array(_rescale_unit(a), type=pa.int64())}))
 
@@ -560,18 +160,7 @@ def entity_hits(sf_dir: str, iters: int = 20, plan: str = "auto"):
     """HITS over the extracted entity graph — 'which entities point at
     the hubs, which collect the links'.  Deterministic fixed point
     (fixture oracle; dense/shuffle plan equality pinned in tests)."""
-    from ..sources.derived import corpus_for_sf, models_for_corpus
-    from ..stages.canonical import canonical_graph
-    from .kg import kg_dataset, page_files
-
-    corpus = corpus_for_sf(sf_dir)
-    model_dir = models_for_corpus(corpus, tagger="hmm")
-    graph = canonical_graph(
-        kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm"))
-    edges = graph.map_batches(lambda b: pa.table({
-        "src": b.column("subj"), "dst": b.column("obj")}),
-        batch_format="pyarrow")
-    return hits(edges, iters=iters, plan=plan)
+    return hits(_entity_edges(sf_dir), iters=iters, plan=plan)
 
 
 # ------------------------------------------------------------------ label propagation
@@ -705,18 +294,8 @@ def entity_communities(sf_dir: str, rounds: int = 4,
     'which entities cluster together in the corpus'.  Deterministic
     (synchronous, fixed rounds, lexicographic tie-break): fixture
     oracle; dense==shuffle plan equality pinned in tests."""
-    from ..sources.derived import corpus_for_sf, models_for_corpus
-    from ..stages.canonical import canonical_graph
-    from .kg import kg_dataset, page_files
-
-    corpus = corpus_for_sf(sf_dir)
-    model_dir = models_for_corpus(corpus, tagger="hmm")
-    graph = canonical_graph(
-        kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm"))
-    edges = graph.map_batches(lambda b: pa.table({
-        "src": b.column("subj"), "dst": b.column("obj")}),
-        batch_format="pyarrow")
-    return label_propagation(edges, rounds=rounds, plan=plan)
+    return label_propagation(_entity_edges(sf_dir), rounds=rounds,
+                             plan=plan)
 
 
 # ------------------------------------------------------------------ pointer doubling
@@ -821,196 +400,37 @@ def ppr(edges, seed_fn, iters: int = 10, d_num: int = 17, d_den: int = 20,
     query behind related-entity suggestion and topic-conditioned KG
     ranking.
 
-    ``seed_fn(names: list[str]) -> bool ndarray`` assigns seed flags
-    PER BATCH (a pure function of the node name — e.g. an md5 rule or
-    a topical prefix), so the seed set is never collected on the
-    driver; only its COUNT is (one scalar aggregate).  The recurrence
-    in exact integer micro-units (same fixed-point discipline as
-    :func:`pagerank` — bit-identical across plans/partitionings):
+    ``seed_fn(names: list) -> bool ndarray`` flags the seeds among the
+    sorted node names (a pure function of the name — e.g. an md5 rule
+    or a topical prefix); ``None`` makes every node a seed, which is
+    :func:`pagerank`.  The recurrence in exact integer micro-units
+    (bit-identical across plans/partitionings):
 
         rank'(v) = [v∈S]·(1−d)·UNIT/|S|
                    + d·(in(v) + [v∈S]·dangling/|S|)
+        in(v)    = Σ over u→v of rank(u) // outdeg(u)
 
-    Plans: ``dense`` (broadcast rank vector, sparse integer partials)
-    at or below ``_DENSE_MAX_NODES``; ``shuffle`` (one join + one
-    aggregate per iteration, seed/outdeg flags carried by the zero
-    rows) above — pinned bit-equal by test."""
-    import ray
-
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.join import sorted_merge_join
-
-    assert plan in ("auto", "dense", "shuffle")
-
-    edges = sorted_group_aggregate(
-        edges.map_batches(lambda b: pa.table({
-            "src": b.column("src"), "dst": b.column("dst"),
-            "__one": pa.array(np.ones(b.num_rows, dtype=np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["src", "dst"], [("__one", "min")]).drop_columns(["__one"]) \
-        .materialize()
-
-    def flag(b: pa.Table) -> pa.Table:
-        names = b.column("node").to_pylist()
-        s = np.asarray(seed_fn(names), dtype=bool) if names else \
-            np.zeros(0, dtype=bool)
-        return b.append_column("seed",
-                               pa.array(s.astype(np.int64)))
-
-    nodes = sorted_group_aggregate(
-        edges.map_batches(lambda b: pa.table({
-            "node": pa.concat_arrays([
-                b.column("src").combine_chunks(),
-                b.column("dst").combine_chunks()]),
-            "outdeg": pa.array(np.r_[np.ones(b.num_rows, dtype=np.int64),
-                                     np.zeros(b.num_rows, dtype=np.int64)])}),
-            batch_format="pyarrow"),
-        "node", [("outdeg", "sum")]) \
-        .map_batches(flag, batch_format="pyarrow").materialize()
-    n_nodes = nodes.count()
-    if n_nodes == 0:
+    One sweep per iteration; ``plan`` as for :func:`pagerank`."""
+    idx = EdgeIndex(edges, plan)
+    if idx.n == 0:
         return rd.from_arrow(pa.table({
-            "node": pa.array([], type=pa.string()),
-            "rank_fp": pa.array([], type=pa.int64())}))
-    n_seeds = int(nodes.sum("seed") or 0)
+            "node": idx.nodes, "rank_fp": pa.array([], type=pa.int64())}))
+    seed = np.ones(idx.n, dtype=bool) if seed_fn is None else \
+        np.asarray(seed_fn(idx.nodes.to_pylist()), dtype=bool)
+    n_seeds = int(seed.sum())
     if n_seeds == 0:
         raise ValueError("seed_fn selected no nodes")
 
-    base = ((d_den - d_num) * UNIT) // (d_den * n_seeds)
-    init = UNIT // n_seeds
-
-    if plan == "dense" or (plan == "auto" and n_nodes <= _DENSE_MAX_NODES):
-        return _ppr_dense(edges, nodes, n_nodes, n_seeds, base, init,
-                          iters, d_num, d_den)
-    return _ppr_shuffle(edges, nodes, n_nodes, n_seeds, base, init,
-                        iters, d_num, d_den)
-
-
-def _ppr_dense(edges, nodes_ds, n_nodes, n_seeds, base, init,
-               iters, d_num, d_den):
-    import ray
-
-    nt = pa.concat_tables(
-        [t for t in ray.get(nodes_ds.to_arrow_refs())
-         if t.num_rows and "node" in t.schema.names])
-    nt = nt.take(pc.sort_indices(nt, sort_keys=[("node", "ascending")]))
-    names = nt.column("node")
-    outdeg = nt.column("outdeg").to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    seed = nt.column("seed").to_numpy(zero_copy_only=False) \
-        .astype(bool)
-    index = {n: i for i, n in enumerate(names.to_pylist())}
-    idx_ref = ray.put(index)
-    outdeg_ref = ray.put(outdeg)
-
-    def to_idx(batch: pa.Table) -> pa.Table:
-        ix = ray.get(idx_ref)
-        si = np.array([ix[s] for s in batch.column("src").to_pylist()],
-                      dtype=np.int64)
-        di = np.array([ix[s] for s in batch.column("dst").to_pylist()],
-                      dtype=np.int64)
-        return pa.table({"si": pa.array(si), "di": pa.array(di)})
-
-    int_edges = edges.map_batches(to_idx, batch_format="pyarrow",
-                                  zero_copy_batch=True).materialize()
-    edge_block_refs = [r for r in int_edges.to_arrow_refs()]
-
-    @ray.remote
-    def contribs(batch: pa.Table, rv: np.ndarray, od: np.ndarray):
-        if batch.num_rows == 0:
-            return None
-        si = batch.column("si").to_numpy(zero_copy_only=False)
-        di = batch.column("di").to_numpy(zero_copy_only=False)
-        c = rv[si] // od[si]
-        uniq, inv = np.unique(di, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, c)
-        return uniq, sums
-
-    r = np.where(seed, np.int64(init), np.int64(0))
-    dangle_mask = outdeg == 0
+    base = np.where(seed, ((d_den - d_num) * UNIT) // (d_den * n_seeds), 0)
+    outdeg = idx.sweep(np.ones(idx.n, dtype=np.int64), direction="reverse")
+    dangling = outdeg == 0
+    r = np.where(seed, UNIT // n_seeds, 0)
     for _ in range(iters):
-        share = int(r[dangle_mask].sum()) // n_seeds
-        r_ref = ray.put(r)
-        parts = ray.get([contribs.remote(b, r_ref, outdeg_ref)
-                         for b in edge_block_refs])
-        in_fp = np.zeros(n_nodes, dtype=np.int64)
-        for p in parts:
-            if p is not None:
-                np.add.at(in_fp, p[0], p[1])
-        r = (np.where(seed, np.int64(base), np.int64(0))
-             + ((in_fp + np.where(seed, np.int64(share), np.int64(0)))
-                * d_num) // d_den)
-
-    return rd.from_arrow(pa.table({"node": names,
+        share = int(r[dangling].sum()) // n_seeds
+        in_fp = idx.sweep(r // np.maximum(outdeg, 1))
+        r = base + ((in_fp + np.where(seed, share, 0)) * d_num) // d_den
+    return rd.from_arrow(pa.table({"node": idx.nodes,
                                    "rank_fp": pa.array(r, type=pa.int64())}))
-
-
-def _ppr_shuffle(edges, nodes_ds, n_nodes, n_seeds, base, init,
-                 iters, d_num, d_den):
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.join import sorted_merge_join
-
-    ranks = nodes_ds.map_batches(lambda b: pa.table({
-        "node": b.column("node"),
-        "rank_fp": pc.multiply(b.column("seed"),
-                               pa.scalar(init, type=pa.int64())),
-        "outdeg": b.column("outdeg"),
-        "seed": b.column("seed")}),
-        batch_format="pyarrow").materialize()
-
-    for _ in range(iters):
-        dangling = ranks.map_batches(
-            lambda b: pa.table({"d": pa.array([int(pc.sum(pc.if_else(
-                pc.equal(b.column("outdeg"), pa.scalar(0, type=pa.int64())),
-                b.column("rank_fp"),
-                pa.scalar(0, type=pa.int64()))).as_py() or 0)],
-                type=pa.int64())}),
-            batch_format="pyarrow").sum("d") or 0
-        share = int(dangling) // n_seeds
-
-        contribs = sorted_merge_join(
-            edges,
-            ranks.map_batches(lambda b: pa.table({
-                "src": b.column("node"),
-                "rank_fp": b.column("rank_fp"),
-                "outdeg": b.column("outdeg")}), batch_format="pyarrow"),
-            on="src").map_batches(
-            lambda b: pa.table({
-                "node": b.column("dst"),
-                "in_fp": pc.divide(b.column("rank_fp"),
-                                   b.column("outdeg")),
-                "odcarry": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
-                "seedcarry": pa.array(np.zeros(b.num_rows,
-                                               dtype=np.int64))}),
-            batch_format="pyarrow")
-        zeros = ranks.map_batches(lambda b: pa.table({
-            "node": b.column("node"),
-            "in_fp": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
-            "odcarry": b.column("outdeg"),
-            "seedcarry": b.column("seed")}), batch_format="pyarrow")
-
-        ranks = sorted_group_aggregate(
-            contribs.union(zeros), "node",
-            [("in_fp", "sum"), ("odcarry", "max"), ("seedcarry", "max")]) \
-            .map_batches(
-            lambda b, _s=share: pa.table({
-                "node": b.column("node"),
-                "rank_fp": pc.add(
-                    pc.multiply(b.column("seedcarry"),
-                                pa.scalar(base, type=pa.int64())),
-                    pc.divide(pc.multiply(
-                        pc.add(b.column("in_fp"),
-                               pc.multiply(b.column("seedcarry"),
-                                           pa.scalar(_s, type=pa.int64()))),
-                        pa.scalar(d_num, type=pa.int64())),
-                        pa.scalar(d_den, type=pa.int64()))),
-                "outdeg": b.column("odcarry"),
-                "seed": b.column("seedcarry")}),
-            batch_format="pyarrow").materialize()
-
-    return ranks.map_batches(lambda b: b.select(["node", "rank_fp"]),
-                             batch_format="pyarrow")
 
 
 def entity_ppr(sf_dir: str, iters: int = 10, seed_mod: int = 20):
@@ -1020,23 +440,12 @@ def entity_ppr(sf_dir: str, iters: int = 10, seed_mod: int = 20):
     seed list).  Fixed-point integer ranks → fixture oracle."""
     import hashlib
 
-    from ..sources.derived import corpus_for_sf, models_for_corpus
-    from ..stages.canonical import canonical_graph
-    from .kg import kg_dataset, page_files
-
     def seed_fn(names):
         return np.array(
             [int(hashlib.md5(n.encode()).hexdigest()[:8], 16)
              % seed_mod == 0 for n in names], dtype=bool)
 
-    corpus = corpus_for_sf(sf_dir)
-    model_dir = models_for_corpus(corpus, tagger="hmm")
-    graph = canonical_graph(
-        kg_dataset(page_files(corpus), corpus, model_dir, tagger="hmm"))
-    edges = graph.map_batches(lambda b: pa.table({
-        "src": b.column("subj"), "dst": b.column("obj")}),
-        batch_format="pyarrow")
-    return ppr(edges, seed_fn, iters=iters)
+    return ppr(_entity_edges(sf_dir), seed_fn, iters=iters)
 
 
 def part_components(sf_dir: str, min_count: int = 2):
@@ -1258,6 +667,14 @@ def graph_for_sf(sf_dir: str, tagger: str = "hmm", files=None):
             shutil.rmtree(tmp, ignore_errors=True)
     return rd.read_parquet(
         sorted(glob.glob(os.path.join(out, "*.parquet"))))
+
+
+def _entity_edges(sf_dir: str):
+    """The entity graph's subj → obj edges (``src``, ``dst``), read
+    from the :func:`graph_for_sf` checkpoint."""
+    return graph_for_sf(sf_dir).map_batches(lambda b: pa.table({
+        "src": b.column("subj"), "dst": b.column("obj")}),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def kg_predicate_stats(sf_dir: str):
@@ -1841,7 +1258,7 @@ def kg_entity_cooccurrence(sf_dir: str, k_top: int = 40,
 
 
 def copurchase_mst(sf_dir: str, min_count: int = 2,
-                   plan: str = "dense"):
+                   plan: str = "auto"):
     """Maximum-support spanning forest of the co-purchase graph via
     distributed Borůvka — the missing classic in the graph family
     (CC/PageRank/HITS/k-core/LPA/BFS/Bellman-Ford exist): each round,
@@ -1851,11 +1268,11 @@ def copurchase_mst(sf_dir: str, min_count: int = 2,
     the driver (component-sized), and labels contract.  O(log n)
     rounds; each round is one in-block relabel + one label-keyed min
     aggregate over the edge set.  ``plan="dense"`` broadcasts the
-    label map per round (the `entity_pagerank` dense-plan threshold,
-    ≤2M nodes); ``plan="shuffle"`` relabels via two sorted-merge
+    label map per round; ``plan="shuffle"`` relabels via two sorted-merge
     joins against a label Dataset instead — node state never
     broadcasts, the 100-TB path.  Both plans are pinned bit-equal by
-    test (the CC/k-core plan-equality discipline).  Edge order packs
+    test (the CC/k-core plan-equality discipline); ``"auto"`` is
+    dense at or below ``_DENSE_MAX_NODES`` nodes.  Edge order packs
     into one int64
     ((MAXN−n)≪40 | a≪20 | b — part keys < 2²⁰ at every gate scale;
     repack wider for bigger key spaces).  Fixture oracle +
@@ -1884,6 +1301,8 @@ def copurchase_mst(sf_dir: str, min_count: int = 2,
             x = parent[x]
         return x
 
+    if plan == "auto":
+        plan = "dense" if len(nodes) <= _DENSE_MAX_NODES else "shuffle"
     MAXN = 1 << 22
     assert all(v < (1 << 20) for v in nodes), \
         "edge-order packing assumes part keys < 2^20 — repack wider"
@@ -2040,61 +1459,26 @@ def kg_gold_eval(sf_dir: str):
             type=pa.int64())})
 
 
-def _entity_distance_dense(sym_ds, n_seeds: int, max_depth: int) -> pa.Table:
-    """Dense twin of the kg_entity_distance shuffle plan: identical
-    semantics (seed pick, bounded per-seed BFS, converged flag — the
-    flag mirrors the distributed loop's first-empty-union-frontier
-    rule, i.e. converged ⟺ max eccentricity ≤ max_depth − 2) over the
-    collected symmetric edge list.  Bounded by the caller's
-    ``_DENSE_MAX_NODES`` row check."""
-    import hashlib as _hl
-    from collections import deque
-
-    import ray as _ray
-
-    tbls = [t for t in _ray.get(sym_ds.to_arrow_refs()) if t.num_rows]
-    adj: dict = {}
-    for t in tbls:
-        for u, v in zip(t.column("node").to_pylist(),
-                        t.column("dst").to_pylist()):
-            adj.setdefault(u, set()).add(v)
-    seeds = sorted(sorted(adj, key=lambda n: (
-        _hl.md5(n.encode()).hexdigest(), n))[:n_seeds])
-
-    out = {"seed": [], "n_reached": [], "sum_dist": [],
-           "eccentricity_bounded": [], "closeness_bounded_micro": []}
-    max_ecc = 0
-    for sid in seeds:
-        dist = {sid: 0}
-        dq = deque([sid])
-        while dq:
-            u = dq.popleft()
-            if dist[u] >= max_depth:
-                continue
-            for v in adj.get(u, ()):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    dq.append(v)
-        n, s, m = len(dist), sum(dist.values()), max(dist.values())
-        max_ecc = max(max_ecc, m)
-        out["seed"].append(sid)
-        out["n_reached"].append(n)
-        out["sum_dist"].append(s)
-        out["eccentricity_bounded"].append(m)
-        out["closeness_bounded_micro"].append(
-            10**6 * (n - 1) // s if s else 0)
-    converged = max_ecc <= max_depth - 2
+def _bounded_bfs(idx: EdgeIndex, seeds: np.ndarray, max_depth: int):
+    """Hop distances from each seed (node positions in ``idx``) over
+    the undirected graph, one column per seed, −1 where no path of at
+    most ``max_depth`` hops reaches; and whether every BFS emptied its
+    frontier under the cap.  One (min,+) BFS: each level is one
+    undirected ``min`` sweep of the frontier, whose nodes offer
+    ``level + 1`` to their neighbours."""
     k = len(seeds)
-    return pa.table({
-        "seed": pa.array(out["seed"], type=pa.string()),
-        "n_reached": pa.array(out["n_reached"], type=pa.int64()),
-        "sum_dist": pa.array(out["sum_dist"], type=pa.int64()),
-        "eccentricity_bounded": pa.array(out["eccentricity_bounded"],
-                                         type=pa.int64()),
-        "closeness_bounded_micro": pa.array(out["closeness_bounded_micro"],
-                                            type=pa.int64()),
-        "max_depth": pa.array([max_depth] * k, type=pa.int64()),
-        "bfs_converged": pa.array([int(converged)] * k, type=pa.int64())})
+    inf = np.iinfo(np.int64).max
+    dist = np.full((idx.n, k), inf, dtype=np.int64)
+    dist[seeds, np.arange(k)] = 0
+    converged = False
+    for r in range(max_depth):
+        frontier = dist == r
+        if not frontier.any():
+            converged = True
+            break
+        dist = np.minimum(dist, idx.sweep(np.where(frontier, r + 1, inf),
+                                          "min", "both"))
+    return np.where(dist < inf, dist, -1), converged
 
 
 def kg_entity_distance(sf_dir: str, n_seeds: int = 8,
@@ -2109,107 +1493,31 @@ def kg_entity_distance(sf_dir: str, n_seeds: int = 8,
     bit.  Fixture oracle; dense==shuffle plan equality pinned in
     tests.
 
-    ``plan="shuffle"`` (the scale path): the (seed, node, dist)
-    frontier expands one sorted-merge join against the symmetric edge
-    list per level and re-reduces with a MIN-dist aggregate — per
-    level the shuffle is frontier×degree, never nodes², nothing
-    graph-sized on the driver.  ``plan="dense"`` (auto at or below
-    ``_DENSE_MAX_NODES`` symmetric edge rows): collect the edge list
-    once and run the identical bounded BFS in-process — the per-level
-    join/aggregate orchestration dominates wall time on small graphs
-    (it was the correctness window's most expensive entry)."""
+    ``plan`` as for :func:`pagerank`."""
     import hashlib as _hl
 
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.join import sorted_merge_join
-
-    graph = graph_for_sf(sf_dir)
-
-    def sym(b: pa.Table) -> pa.Table:
-        s = b.column("subj").combine_chunks()
-        o = b.column("obj").combine_chunks()
-        return pa.table({"node": pa.concat_arrays([s, o]),
-                         "dst": pa.concat_arrays([o, s])})
-
-    sym_ds = graph.map_batches(sym, batch_format="pyarrow",
-                               zero_copy_batch=True).materialize()
-
-    if plan == "dense" or (plan == "auto"
-                           and sym_ds.count() <= _DENSE_MAX_NODES):
-        return _entity_distance_dense(sym_ds, n_seeds, max_depth)
-
-    nodes = sorted_group_aggregate(
-        sym_ds.map_batches(lambda b: pa.table({
-            "node": b.column("node"),
-            "c": pa.array(np.ones(b.num_rows, dtype=np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["node"], [("c", "sum")])
-
-    def add_hash(b: pa.Table) -> pa.Table:
-        h = [_hl.md5(n.encode()).hexdigest() for n in
-             b.column("node").to_pylist()]
-        return pa.table({"node": b.column("node"),
-                         "hv": pa.array(h, type=pa.string())})
-
-    seed_rows = (nodes.map_batches(add_hash, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-                 .sort(["hv", "node"]).limit(n_seeds).take_all())
-    seeds = sorted(r["node"] for r in seed_rows)
-
-    dist = rd.from_arrow(pa.table({
-        "seed": pa.array(seeds, type=pa.string()),
-        "node": pa.array(seeds, type=pa.string()),
-        "dist": pa.array(np.zeros(len(seeds), dtype=np.int64))}))
-    converged = False
-    for r in range(max_depth):
-        frontier = dist.filter(expr=f"dist == {r}")             .map_batches(lambda b: b.select(["seed", "node"]),
-                         batch_format="pyarrow")
-        if frontier.count() == 0:
-            converged = True            # every BFS emptied under the cap
-            break
-        nxt = sorted_merge_join(frontier, sym_ds, on="node").map_batches(
-            lambda b, d=r + 1: pa.table({
-                "seed": b.column("seed"),
-                "node": b.column("dst"),
-                "dist": pa.array(np.full(b.num_rows, d, dtype=np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        dist = sorted_group_aggregate(
-            dist.union(nxt), ["seed", "node"], [("dist", "min")],
-            precombine=True).materialize()
-
-    agg = sorted_group_aggregate(
-        dist.map_batches(lambda b: pa.table({
-            "seed": b.column("seed"),
-            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-            "s": b.column("dist"), "m": b.column("dist")}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["seed"], [("n", "sum"), ("s", "sum"), ("m", "max")]).take_all()
-    by_seed = {r["seed"]: r for r in agg}
-    out = {"seed": [], "n_reached": [], "sum_dist": [],
-           "eccentricity_bounded": [], "closeness_bounded_micro": []}
-    for sid in seeds:
-        r = by_seed[sid]
-        n, s, m = int(r["n"]), int(r["s"]), int(r["m"])
-        out["seed"].append(sid)
-        out["n_reached"].append(n)
-        out["sum_dist"].append(s)
-        out["eccentricity_bounded"].append(m)
-        out["closeness_bounded_micro"].append(
-            10**6 * (n - 1) // s if s else 0)
+    idx = EdgeIndex(_entity_edges(sf_dir), plan)
+    names = idx.nodes.to_pylist()
+    seeds = np.sort(np.asarray(sorted(range(idx.n), key=lambda i: (
+        _hl.md5(names[i].encode()).hexdigest(), names[i]))[:n_seeds],
+        dtype=np.int64))             # node order is name order
+    k = len(seeds)
+    d, converged = _bounded_bfs(idx, seeds, max_depth)
+    n, s = (d >= 0).sum(axis=0), np.maximum(d, 0).sum(axis=0)
     # Both metrics are depth-BOUNDED: on a graph whose diameter
     # exceeds ``max_depth`` the eccentricity is understated and the
     # closeness is computed over only the reached subset — the column
     # names say so, and (max_depth, bfs_converged) let a consumer tell
     # exact values (converged=1) from truncated ones (converged=0).
-    k = len(seeds)
     return pa.table({
-        "seed": pa.array(out["seed"], type=pa.string()),
-        "n_reached": pa.array(out["n_reached"], type=pa.int64()),
-        "sum_dist": pa.array(out["sum_dist"], type=pa.int64()),
-        "eccentricity_bounded": pa.array(out["eccentricity_bounded"],
+        "seed": idx.nodes.take(pa.array(seeds)).cast(pa.string()),
+        "n_reached": pa.array(n, type=pa.int64()),
+        "sum_dist": pa.array(s, type=pa.int64()),
+        "eccentricity_bounded": pa.array(d.max(axis=0, initial=0),
                                          type=pa.int64()),
-        "closeness_bounded_micro": pa.array(out["closeness_bounded_micro"],
-                                            type=pa.int64()),
+        "closeness_bounded_micro": pa.array(
+            np.where(s > 0, 10**6 * (n - 1) // np.maximum(s, 1), 0),
+            type=pa.int64()),
         "max_depth": pa.array([max_depth] * k, type=pa.int64()),
         "bfs_converged": pa.array([int(converged)] * k, type=pa.int64())})
 

@@ -408,101 +408,48 @@ def copurchase_edge_support(sf_dir: str, min_count: int = 2):
 def copurchase_closeness(sf_dir: str, n_seeds: int = 8,
                          max_depth: int = 6, min_count: int = 2):
     """Closeness centrality + eccentricity of deterministic seed nodes
-    in the thresholded co-purchase graph, by bounded-depth distributed
-    BFS — the multi-source shortest-path primitive PageRank/components
-    don't cover.  Seeds = the ``n_seeds`` nodes with the smallest
-    md5(node) (a stable sample, same rule as ``functions/sampling``);
-    the frontier table (seed, node, dist) expands one ``auto_join``
-    against the symmetric edge list per level and re-reduces with a
-    MIN-dist aggregate, so per level the shuffle volume is
-    frontier×degree — never nodes², never materialized on the driver.
-    Depth is capped at ``max_depth`` to keep the SQL mirror a bounded
-    recursive CTE; BFS level order makes every dist ≤ r final when
-    frontier r expands, so the MIN reduce is exact.  Output is
-    seed-sized: reached-set size, distance sum, eccentricity (max
-    dist within the cap) and closeness ``(n_reached−1)/Σdist`` as one
-    mirrored IEEE division.  NOTE both metrics are depth-bounded: on a
-    graph with diameter > ``max_depth`` the eccentricity is understated
-    and the closeness covers only the reached subset (n_reached tells
-    a consumer how much was reached; the KG twin ``kg_entity_distance``
+    in the thresholded co-purchase graph, by bounded-depth BFS — the
+    multi-source shortest-path primitive PageRank/components don't
+    cover.  Seeds = the ``n_seeds`` nodes with the smallest md5(node)
+    (a stable sample, same rule as ``functions/sampling``).  The BFS is
+    ``graph._bounded_bfs`` over the graph's
+    :class:`~kgray.stages.propagate.EdgeIndex`: one (min,+) sweep per
+    level with one distance column per seed, so BFS level order makes
+    every distance exact.  Depth is capped at ``max_depth`` to keep
+    the SQL mirror a bounded recursive CTE.  Output is seed-sized:
+    reached-set size, distance sum, eccentricity (max dist within the
+    cap) and closeness ``(n_reached−1)/Σdist`` as one mirrored IEEE
+    division.  NOTE both metrics are depth-bounded: on a graph with
+    diameter > ``max_depth`` the eccentricity is understated and the
+    closeness covers only the reached subset (n_reached tells a
+    consumer how much was reached; the KG twin ``kg_entity_distance``
     additionally stamps max_depth/bfs_converged columns)."""
     from ...functions.sampling import _md5_bucket
-    from ...stages.join import auto_join
+    from ...stages.propagate import EdgeIndex
+    from ..graph import _bounded_bfs
 
-    total = _copurchase_pair_counts(sf_dir)
-    edges = (total.map_batches(_unpack_pair, batch_format="pyarrow",
-                               zero_copy_batch=True)
-             .filter(expr=f"n_copurchase >= {int(min_count)}"))
-
-    def sym(b: pa.Table) -> pa.Table:
-        a = b.column("part_a").to_numpy(zero_copy_only=False)
-        bb = b.column("part_b").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "node": pa.array(np.concatenate([a, bb]), type=pa.int64()),
-            "dst": pa.array(np.concatenate([bb, a]), type=pa.int64())})
-
-    sym_ds = edges.map_batches(sym, batch_format="pyarrow",
-                               zero_copy_batch=True).materialize()
-
-    nodes = sorted_group_aggregate(
-        sym_ds.map_batches(lambda b: pa.table({
-            "node": b.column("node"),
-            "c": pa.array(np.ones(b.num_rows, dtype=np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["node"], [("c", "sum")])
-
-    def add_hash(b: pa.Table) -> pa.Table:
-        h = _md5_bucket(b.column("node").to_pylist(), 1 << 62)
-        return pa.table({"node": b.column("node"),
-                         "hv": pa.array(h, type=pa.int64())})
-
-    seed_rows = (nodes.map_batches(add_hash, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-                 .sort(["hv", "node"]).limit(n_seeds).take_all())
-    seed_ids = sorted(int(r["node"]) for r in seed_rows)
-
-    dist = rd.from_arrow(pa.table({
-        "seed": pa.array(seed_ids, type=pa.int64()),
-        "node": pa.array(seed_ids, type=pa.int64()),
-        "dist": pa.array(np.zeros(len(seed_ids), dtype=np.int64))}))
-    for r in range(max_depth):
-        frontier = dist.filter(expr=f"dist == {r}") \
-            .map_batches(lambda b: b.select(["seed", "node"]),
-                         batch_format="pyarrow")
-        if frontier.count() == 0:
-            break
-        nxt = auto_join(frontier, sym_ds, on="node").map_batches(
-            lambda b, d=r + 1: pa.table({
-                "seed": b.column("seed"),
-                "node": b.column("dst"),
-                "dist": pa.array(np.full(b.num_rows, d, dtype=np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        dist = sorted_group_aggregate(
-            dist.union(nxt), ["seed", "node"], [("dist", "min")],
-            precombine=True).materialize()
-
-    agg = sorted_group_aggregate(
-        dist.map_batches(lambda b: pa.table({
-            "seed": b.column("seed"),
-            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-            "s": b.column("dist"), "m": b.column("dist")}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["seed"], [("n", "sum"), ("s", "sum"), ("m", "max")]).take_all()
-
-    by_seed = {int(r["seed"]): r for r in agg}
-    out_n, out_s, out_m, out_c = [], [], [], []
-    for sid in seed_ids:
-        r = by_seed[sid]
-        n, s, m = int(r["n"]), int(r["s"]), int(r["m"])
-        out_n.append(n)
-        out_s.append(s)
-        out_m.append(m)
-        out_c.append(float(n - 1) / float(s) if s > 0 else 0.0)
+    idx = EdgeIndex(
+        _copurchase_pair_counts(sf_dir)
+        .map_batches(_unpack_pair, batch_format="pyarrow",
+                     zero_copy_batch=True)
+        .filter(expr=f"n_copurchase >= {int(min_count)}")
+        .map_batches(lambda b: pa.table({
+            "src": b.column("part_a"), "dst": b.column("part_b")}),
+            batch_format="pyarrow", zero_copy_batch=True))
+    names = idx.nodes.to_pylist()
+    hv = _md5_bucket(names, 1 << 62)
+    seeds = np.sort(np.asarray(sorted(range(idx.n), key=lambda i: (
+        hv[i], names[i]))[:n_seeds], dtype=np.int64))
+    d, _ = _bounded_bfs(idx, seeds, max_depth)
+    n = (d >= 0).sum(axis=0)
+    s = np.maximum(d, 0).sum(axis=0)
     return pa.table({
-        "seed": pa.array(seed_ids, type=pa.int64()),
-        "n_reached": pa.array(out_n, type=pa.int64()),
-        "sum_dist": pa.array(out_s, type=pa.int64()),
-        "eccentricity": pa.array(out_m, type=pa.int64()),
-        "closeness": pa.array(out_c, type=pa.float64())})
+        "seed": idx.nodes.take(pa.array(seeds)).cast(pa.int64()),
+        "n_reached": pa.array(n, type=pa.int64()),
+        "sum_dist": pa.array(s, type=pa.int64()),
+        "eccentricity": pa.array(d.max(axis=0, initial=0), type=pa.int64()),
+        "closeness": pa.array([float(a - 1) / float(b) if b > 0 else 0.0
+                               for a, b in zip(n.tolist(), s.tolist())],
+                              type=pa.float64())})
 
 
