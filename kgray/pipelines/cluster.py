@@ -11,12 +11,18 @@ the classic Pregel-style formulation) over the graph primitive
 * the pairs are indexed once over the sorted node universe, so node
   ``i``'s initial label ``i`` orders like its id,
 * each iteration is ONE undirected ``min`` sweep (every node takes
-  the smallest label among itself and its neighbours) on the index's
-  shuffle plan: each edge block gets only its range of the label
-  vector,
-* labels only decrease, so an unchanged label vector is the fixpoint,
-  reached in ≤ diameter iterations (near-dup clusters are shallow:
-  stars from degenerate buckets have diameter 2).
+  the smallest label among itself and its neighbours), on whichever
+  plan the index chose; each label's root then hooks to the smallest
+  label its members saw, and pointer jumping on the driver
+  (``label = label[label]`` until it stops changing) flattens every
+  component back to a star,
+* every label is a node of the same component at or below the node's
+  own position, and labels only decrease, so an unchanged label
+  vector is the fixpoint: each component's smallest position, the
+  answer union-find gives.  Each star with a smaller neighbour hooks
+  in one round and a star without one is hooked or hooks in the next,
+  so a component's star count at least halves every two rounds
+  (O(log n) rounds, whatever the diameter).
 
 The cluster id is the component's minimum node id, which doubles as
 the canonical ``keep_doc_id``.
@@ -32,89 +38,38 @@ import ray.data as rd
 
 from ..stages.aggregate import sorted_group_aggregate
 from ..stages.join import sorted_merge_join
-from ..stages.propagate import EdgeIndex
+from ..stages.propagate import EdgeIndex, jump
 
 __all__ = ["connected_components", "neardup_clusters"]
-
-
-def _as_dataset(pairs):
-    return rd.from_arrow(pairs) if isinstance(pairs, pa.Table) else pairs
-
-
-# dense-plan switch (same rule class as pagerank's / kcore's): at or
-# below this many PAIRS the edge list collects once and a driver-side
-# union-find resolves it with no label rounds at all.  min-label
-# union-find and min-label propagation compute the SAME fixpoint, so
-# the plans are output-identical (pinned by the fixture oracles that
-# predate this switch).
-_CC_DENSE_MAX_PAIRS = 2_000_000
-
-
-def _cc_dense(pairs, id_a: str, id_b: str):
-    tabs = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
-    if not tabs:
-        return rd.from_arrow(pa.table({
-            "node": pa.array([], type=pa.int64()),
-            "cluster_id": pa.array([], type=pa.int64())}))
-    et = pa.concat_tables(tabs, promote_options="permissive")
-    a = pc.cast(et.column(id_a), pa.int64()).to_numpy(zero_copy_only=False)
-    b = pc.cast(et.column(id_b), pa.int64()).to_numpy(zero_copy_only=False)
-    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    parent = np.arange(len(nodes), dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    ai, bi = inv[:len(a)], inv[len(a):]
-    for x, y in zip(ai.tolist(), bi.tolist()):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            # union by smaller POSITION == smaller node id (nodes sorted)
-            lo, hi = (rx, ry) if rx < ry else (ry, rx)
-            parent[hi] = lo
-    roots = np.array([find(i) for i in range(len(nodes))], dtype=np.int64)
-    return rd.from_arrow(pa.table({
-        "node": pa.array(nodes, type=pa.int64()),
-        "cluster_id": pa.array(nodes[roots], type=pa.int64())}))
 
 
 def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b",
                          max_iters: int = 50, plan: str = "auto"):
     """(node, cluster_id) for every node appearing in ``pairs``;
-    cluster_id = min node id of the connected component."""
-    assert plan in ("auto", "dense", "shuffle")
-    pairs = _as_dataset(pairs)
-    if plan == "dense":
-        return _cc_dense(pairs.materialize(), id_a, id_b)
-    if plan == "auto":
-        # early-exit size probe: limit() stops the stream as soon as
-        # threshold+1 rows exist, so an over-threshold input is never
-        # pinned (the shuffle path below pins only its edge index);
-        # an under-threshold input re-executes its (small) lineage
-        # once for the pin
-        probe = pairs.limit(_CC_DENSE_MAX_PAIRS + 1).count()
-        if probe <= _CC_DENSE_MAX_PAIRS:
-            return _cc_dense(pairs.materialize(), id_a, id_b)
+    cluster_id = min node id of the connected component.  ``plan``
+    chooses the :class:`EdgeIndex` plan.  Raises ``RuntimeError`` when
+    ``max_iters`` rounds do not reach the fixpoint."""
+    def edges(b):
+        return pa.table({"src": pc.cast(b.column(id_a), pa.int64()),
+                         "dst": pc.cast(b.column(id_b), pa.int64())})
 
-    idx = EdgeIndex(pairs.map_batches(lambda b: pa.table({
-        "src": pc.cast(b.column(id_a), pa.int64()),
-        "dst": pc.cast(b.column(id_b), pa.int64())}),
-        batch_format="pyarrow", zero_copy_batch=True), plan="shuffle")
-    if idx.n == 0:
-        return rd.from_arrow(pa.table({"node": pa.array([], type=pa.int64()),
-                                       "cluster_id": pa.array([], type=pa.int64())}))
+    # an in-memory table is renamed on the driver: no Ray Data run
+    idx = EdgeIndex(rd.from_arrow(edges(pairs)) if isinstance(
+        pairs, pa.Table) else pairs.map_batches(
+        edges, batch_format="pyarrow", zero_copy_batch=True), plan)
     # node i is the i-th smallest id, so the min position is the min id
     label = np.arange(idx.n, dtype=np.int64)
     for _ in range(max_iters):
-        nxt = np.minimum(label, idx.sweep(label, "min", "both"))
+        m = np.minimum(label, idx.sweep(label, "min", "both"))
+        np.minimum.at(m, label, m)      # hook roots, not just nodes
+        nxt = jump(m)
         if (nxt == label).all():
-            break
+            nodes = idx.nodes.cast(pa.int64())
+            return rd.from_arrow(pa.table({
+                "node": nodes, "cluster_id": nodes.take(pa.array(label))}))
         label = nxt
-    return rd.from_arrow(pa.table({
-        "node": idx.nodes, "cluster_id": idx.nodes.take(pa.array(label))}))
+    raise RuntimeError(
+        f"connected_components: no fixpoint after {max_iters} rounds")
 
 
 def neardup_clusters(sf_dir: str, threshold: float = 0.5):
@@ -127,9 +82,7 @@ def neardup_clusters(sf_dir: str, threshold: float = 0.5):
     from .dedup import minhash_lsh_pairs
 
     pairs = minhash_lsh_pairs(sf_dir, threshold=threshold)
-    cc = connected_components(
-        rd.from_arrow(pairs) if isinstance(pairs, pa.Table) else pairs,
-        id_a="doc_a", id_b="doc_b")
+    cc = connected_components(pairs, id_a="doc_a", id_b="doc_b")
     return cc.map_batches(
         lambda b: pa.table({"doc_id": b.column("node"),
                             "cluster_id": b.column("cluster_id"),

@@ -25,7 +25,8 @@ engine's existing exchanges:
    trigrams, so NO name threshold alone separates them; multi-field
    rules are the point of Fellegi-Sunter scoring.
 4. **Clustering** — `pipelines/cluster.py:connected_components` (the
-   label-sum fixpoint; nothing node-sized ever broadcasts).
+   min-label fixpoint: `min` sweeps, root hooking and pointer jumping
+   over the `propagate.EdgeIndex` of the match pairs).
 5. **Golden record** — per cluster: canonical id = min record id, the
    canonical (clean) name fetched by one node-sized join, member
    count, max balance.  Records in no pair become singleton clusters

@@ -4,22 +4,26 @@ bounded-BFS entity distance, label-propagation communities, Borůvka
 spanning forest, pointer-doubling chain resolution — plus the
 KG-quality audits over the materialized graph checkpoint.
 
-PageRank, PPR, HITS, k-core and entity distance are each ONE
-recurrence over one primitive, :class:`~kgray.stages.propagate.EdgeIndex`:
-the distinct edges indexed once over the sorted node universe, and one
-sweep ``y = A ⊗ x`` under ``sum`` or ``min``.  Its dense plan
-(broadcast vector over pinned int edge blocks) and shuffle plan (each
-block gets its range of the vector, partials reduced by target range)
-serve all five and switch at ``_DENSE_MAX_NODES`` nodes; each
-algorithm's ``plan=`` argument forces one.
+PageRank, PPR, HITS, k-core, entity distance and label propagation
+are each ONE recurrence over one primitive,
+:class:`~kgray.stages.propagate.EdgeIndex`: the distinct edges indexed
+once over the sorted node universe, and one sweep ``y = A ⊗ x`` under
+``sum``, ``min`` or a ``mode`` vote.  Its dense plan (broadcast vector
+over pinned int edge blocks) and shuffle plan (each block gets its
+range of the vector, partials reduced by target range) serve all six
+and switch at ``_DENSE_MAX_NODES`` nodes; each algorithm's ``plan=``
+argument forces one.  Borůvka works on the same int positions: its
+per-block candidates are ``min`` partials merged by
+``propagate.merge``, and its labels a NumPy union-find.
 
 Float ranks are NOT reproducible on a distributed engine — per-node
 sums depend on block splits and merge order.  The recurrences here
 therefore run in FIXED POINT: ranks are int64 micro-units
 (UNIT = 10^12), contributions are integer divisions, and every
-reduction is an integer sum or min (order-independent), so results are
-bit-identical across runs, partitionings, plans and cluster sizes —
-which is what makes the committed fixtures exact oracles.  PageRank's
+reduction is an integer sum, min or vote count (order-independent), so
+results are bit-identical across runs, partitionings, plans and
+cluster sizes — which is what makes the committed fixtures exact
+oracles.  PageRank's
 rounding drift vs real-valued PageRank is ≤ iterations · N / UNIT
 (~1e-6 at a million nodes), pinned by a numpy-float comparison test.
 """
@@ -31,7 +35,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..stages.propagate import _DENSE_MAX_NODES, EdgeIndex
+from ..stages.propagate import (EdgeIndex, jump, map_blocks, merge, partial,
+                                pin)
 
 __all__ = ["pagerank", "entity_pagerank", "kcore", "copurchase_kcore",
            "hits", "entity_hits", "label_propagation", "entity_communities",
@@ -165,9 +170,6 @@ def entity_hits(sf_dir: str, iters: int = 20, plan: str = "auto"):
 
 # ------------------------------------------------------------------ label propagation
 
-_LPA_DENSE_MAX_EDGES = 2_000_000
-
-
 def label_propagation(edges, rounds: int = 4, plan: str = "auto"):
     """Synchronous label-propagation communities (Raghavan et al. 2007)
     over an UNDIRECTED graph: every node starts labeled with itself;
@@ -178,114 +180,26 @@ def label_propagation(edges, rounds: int = 4, plan: str = "auto"):
     this variant is partitioning- and plan-independent, pinned by the
     dense==shuffle test).
 
-    ``edges``: Dataset (``src``, ``dst``) string node keys.  Input is
-    normalized to distinct undirected pairs, self-loops dropped.
-    Returns (``node``, ``community``) — community = the surviving label.
+    ``edges``: Dataset (``src``, ``dst``).  Input is normalized to
+    distinct undirected pairs, self-loops dropped.  Returns (``node``,
+    ``community``) — community = the surviving label.
 
-    ``plan="shuffle"`` (the scale path), per round: two sorted-merge
-    joins ship each endpoint's label across its edges (edge-sized),
-    one ``sorted_group_aggregate`` counts (node, label) votes, one
-    ``grouped_topk(k=1)`` takes the per-node argmax.  Nothing
-    node-sized ever collects to the driver.  ``plan="dense"`` below
-    ``_LPA_DENSE_MAX_EDGES``: one collect, vectorized np.lexsort
-    vote-counting per round — identical output."""
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.join import sorted_merge_join
-    from ..stages.topk import grouped_topk
-
-    assert plan in ("auto", "dense", "shuffle")
-
+    Labels are node positions in the sorted universe, so the smallest
+    position is the smallest label; each round is one ``mode`` sweep in
+    both directions.  ``plan`` as for :func:`pagerank`."""
     def norm(b: pa.Table) -> pa.Table:
         lo = pc.min_element_wise(b.column("src"), b.column("dst"))
         hi = pc.max_element_wise(b.column("src"), b.column("dst"))
-        t = pa.table({"u": lo, "v": hi,
-                      "n": pa.array(np.ones(b.num_rows, dtype=np.int64))})
-        return t.filter(pc.fill_null(pc.not_equal(lo, hi), False))
+        return pa.table({"src": lo, "dst": hi}).filter(
+            pc.fill_null(pc.not_equal(lo, hi), False))
 
-    und = sorted_group_aggregate(
-        edges.map_batches(norm, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["u", "v"], [("n", "sum")]).drop_columns(["n"]).materialize()
-
-    if plan == "dense" or (plan == "auto"
-                           and und.count() <= _LPA_DENSE_MAX_EDGES):
-        import ray
-        tabs = [t for t in ray.get(und.to_arrow_refs()) if t.num_rows]
-        if not tabs:
-            return rd.from_arrow(pa.table({
-                "node": pa.array([], type=pa.string()),
-                "community": pa.array([], type=pa.string())}))
-        et = pa.concat_tables(tabs, promote_options="permissive")
-        u = np.asarray(et.column("u").to_pylist())
-        v = np.asarray(et.column("v").to_pylist())
-        names, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
-        ui, vi = inv[:len(u)], inv[len(u):]
-        lab = np.arange(len(names), dtype=np.int64)
-        msg_node = np.concatenate([ui, vi])
-        msg_src = np.concatenate([vi, ui])
-        for _ in range(rounds):
-            ml = lab[msg_src]
-            order = np.lexsort((ml, msg_node))
-            nn, ll = msg_node[order], ml[order]
-            new_run = np.ones(len(nn), dtype=bool)
-            new_run[1:] = (nn[1:] != nn[:-1]) | (ll[1:] != ll[:-1])
-            starts = np.flatnonzero(new_run)
-            counts = np.diff(np.append(starts, len(nn)))
-            gn, gl = nn[starts], ll[starts]
-            o2 = np.lexsort((gl, -counts, gn))
-            first = np.ones(len(o2), dtype=bool)
-            sgn = gn[o2]
-            first[1:] = sgn[1:] != sgn[:-1]
-            sel = o2[first]
-            new_lab = lab.copy()
-            new_lab[gn[sel]] = gl[sel]
-            lab = new_lab
-        return rd.from_arrow(pa.table({
-            "node": pa.array(names, type=pa.string()),
-            "community": pa.array(names[lab], type=pa.string())}))
-
-    # distinct endpoint set as the initial self-labeling
-    nodes = sorted_group_aggregate(
-        und.map_batches(lambda b: pa.table({
-            "node": pa.concat_arrays([
-                b.column("u").combine_chunks(),
-                b.column("v").combine_chunks()]),
-            "n": pa.array(np.ones(2 * b.num_rows, dtype=np.int64))}),
-            batch_format="pyarrow"),
-        ["node"], [("n", "sum")]).drop_columns(["n"]).materialize()
-    labels = nodes.map_batches(
-        lambda b: pa.table({"node": b.column("node"),
-                            "label": b.column("node")}),
-        batch_format="pyarrow").materialize()
-
+    idx = EdgeIndex(edges.map_batches(norm, batch_format="pyarrow",
+                                      zero_copy_batch=True), plan)
+    lab = np.arange(idx.n, dtype=np.int64)
     for _ in range(rounds):
-        to_v = sorted_merge_join(
-            und.map_batches(lambda b: pa.table({
-                "node": b.column("u"), "dst": b.column("v")}),
-                batch_format="pyarrow"),
-            labels, on="node").map_batches(
-                lambda b: pa.table({"node": b.column("dst"),
-                                    "label": b.column("label")}),
-                batch_format="pyarrow")
-        to_u = sorted_merge_join(
-            und.map_batches(lambda b: pa.table({
-                "node": b.column("v"), "dst": b.column("u")}),
-                batch_format="pyarrow"),
-            labels, on="node").map_batches(
-                lambda b: pa.table({"node": b.column("dst"),
-                                    "label": b.column("label")}),
-                batch_format="pyarrow")
-        votes = sorted_group_aggregate(
-            to_v.union(to_u).map_batches(lambda b: b.append_column(
-                "cnt", pa.array(np.ones(b.num_rows, dtype=np.int64))),
-                batch_format="pyarrow"),
-            ["node", "label"], [("cnt", "sum")])
-        labels = grouped_topk(votes, "node", "cnt", "label", k=1) \
-            .drop_columns(["cnt", "rank"]).materialize()
-    return labels.map_batches(
-        lambda b: pa.table({"node": b.column("node"),
-                            "community": b.column("label")}),
-        batch_format="pyarrow")
+        lab = idx.sweep(lab, "mode", "both")
+    return rd.from_arrow(pa.table({"node": idx.nodes,
+                                   "community": idx.nodes.take(lab)}))
 
 
 def entity_communities(sf_dir: str, rounds: int = 4,
@@ -453,8 +367,8 @@ def part_components(sf_dir: str, min_count: int = 2):
     'product families' decomposition, and the one CC query with a FULL
     SQL oracle (a recursive-CTE transitive closure; the neardup CC is
     fixture-pinned).  Engine side reuses ``cluster.connected_components``
-    (label-sum fixpoint, dense/shuffle plan switch); component id =
-    min part key of the component."""
+    (``min`` sweeps, root hooking and pointer jumping over ``EdgeIndex``);
+    component id = min part key of the component."""
     from .cluster import connected_components
     from .relational import _copurchase_pair_counts, _unpack_pair
 
@@ -1257,151 +1171,100 @@ def kg_entity_cooccurrence(sf_dir: str, k_top: int = 40,
              for ab, n in ranked], type=pa.int64())})
 
 
-def copurchase_mst(sf_dir: str, min_count: int = 2,
-                   plan: str = "auto"):
+_MST_BITS = 20          # bits of an endpoint position in a packed edge
+_MST_MASK = (1 << _MST_BITS) - 1
+_MST_MAXN = 1 << 22     # co-purchase counts per packed edge
+_NO_EDGE = np.iinfo(np.int64).max    # the min merge's identity: no candidate
+
+
+def _mst_pack(block: pa.Table, nodes: pa.Array) -> np.ndarray:
+    """One edge block's packed Borůvka keys, one int64 per edge, in the
+    total edge order (most co-purchases, then smallest (a, b)):
+    ``(MAXN − n)≪40 | ai≪20 | bi`` over the endpoint positions."""
+    if block.num_rows == 0:     # an empty block may carry no columns
+        return np.zeros(0, dtype=np.int64)
+    ai, bi = (pc.index_in(block.column(c), value_set=nodes).to_numpy()
+              .astype(np.int64) for c in ("src", "dst"))
+    n = block.column("n").to_numpy().astype(np.int64)
+    return ((_MST_MAXN - n) << 2 * _MST_BITS) | (ai << _MST_BITS) | bi
+
+
+def _mst_candidates(pack: np.ndarray, lab: np.ndarray):
+    """Per component label, the smallest packed edge of this block that
+    leaves the component (a sparse ``min`` partial)."""
+    la, lb = lab[(pack >> _MST_BITS) & _MST_MASK], lab[pack & _MST_MASK]
+    cross = la != lb
+    return partial(np.concatenate([la[cross], lb[cross]]),
+                   np.tile(pack[cross], 2), "min")
+
+
+def copurchase_mst(sf_dir: str, min_count: int = 2):
     """Maximum-support spanning forest of the co-purchase graph via
-    distributed Borůvka — the missing classic in the graph family
+    Borůvka — the missing classic in the graph family
     (CC/PageRank/HITS/k-core/LPA/BFS/Bellman-Ford exist): each round,
     every component selects its best incident edge (most co-purchases,
     ties → smallest (a, b) — a TOTAL order, so the forest is the
-    unique one Kruskal would pick), the selected edges union-fold on
-    the driver (component-sized), and labels contract.  O(log n)
-    rounds; each round is one in-block relabel + one label-keyed min
-    aggregate over the edge set.  ``plan="dense"`` broadcasts the
-    label map per round; ``plan="shuffle"`` relabels via two sorted-merge
-    joins against a label Dataset instead — node state never
-    broadcasts, the 100-TB path.  Both plans are pinned bit-equal by
-    test (the CC/k-core plan-equality discipline); ``"auto"`` is
-    dense at or below ``_DENSE_MAX_NODES`` nodes.  Edge order packs
-    into one int64
-    ((MAXN−n)≪40 | a≪20 | b — part keys < 2²⁰ at every gate scale;
-    repack wider for bigger key spaces).  Fixture oracle +
+    unique one Kruskal would pick), the selected edges join their
+    components, and labels contract.  O(log n) rounds.
+
+    Every edge is mapped to its endpoint positions in the sorted node
+    universe ONCE and packed into one int64 in the edge order (see
+    ``_mst_pack``; positions < 2²⁰).  A round finds each edge block's
+    crossing edges (``lab[a] != lab[b]``) and their per-label minimum,
+    in-process for a graph of one block, else one raw Ray task per
+    block, and ``min``-merges the blocks' partials on the driver.  The
+    labels are a NumPy union-find: the selected edges hook each root
+    to the smaller one, and pointer jumping compresses, so every label
+    is its component's smallest position.  Fixture oracle +
     serial-Kruskal equality test."""
     import ray
 
-    from ..stages.aggregate import sorted_group_aggregate
     from .relational import _copurchase_pair_counts, _unpack_pair
 
     edges = (_copurchase_pair_counts(sf_dir)
              .map_batches(_unpack_pair, batch_format="pyarrow",
                           zero_copy_batch=True)
              .filter(expr=f"n_copurchase >= {int(min_count)}")
-             .materialize())
-
-    nodes = set()
-    for t in ray.get(edges.to_arrow_refs()):
-        if t.num_rows:
-            nodes.update(t.column("part_a").to_pylist())
-            nodes.update(t.column("part_b").to_pylist())
-    parent = {v: v for v in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if plan == "auto":
-        plan = "dense" if len(nodes) <= _DENSE_MAX_NODES else "shuffle"
-    MAXN = 1 << 22
-    assert all(v < (1 << 20) for v in nodes), \
-        "edge-order packing assumes part keys < 2^20 — repack wider"
-    chosen = {}
+             .map_batches(lambda b: pa.table({
+                 "src": pc.cast(b.column("part_a"), pa.int64()),
+                 "dst": pc.cast(b.column("part_b"), pa.int64()),
+                 "n": b.column("n_copurchase")}),
+                 batch_format="pyarrow", zero_copy_batch=True))
+    blocks, local, nodes = pin(edges)
+    if len(nodes) > 1 << _MST_BITS:
+        raise ValueError("copurchase_mst: edge-order packing holds 2^20 "
+                         f"nodes, got {len(nodes)} — repack wider")
+    if local:
+        packs = [_mst_pack(b, nodes) for b in blocks]
+    else:
+        task, nodes_ref = ray.remote(_mst_pack), ray.put(nodes)
+        packs = [task.remote(b, nodes_ref) for b in blocks]
+    lab = np.arange(len(nodes), dtype=np.int64)
+    chosen = added = np.zeros(0, dtype=np.int64)
     for rnd in range(64):
-        labels = {v: find(v) for v in nodes}
-
-        if plan == "dense":
-            def relabel(b: pa.Table, _lab=labels) -> pa.Table:
-                a = b.column("part_a").to_numpy(zero_copy_only=False)
-                c = b.column("part_b").to_numpy(zero_copy_only=False)
-                n = b.column("n_copurchase").to_numpy(
-                    zero_copy_only=False)
-                la = np.array([_lab[x] for x in a], dtype=np.int64)
-                lb = np.array([_lab[x] for x in c], dtype=np.int64)
-                keep = la != lb
-                a, c, n = a[keep], c[keep], n[keep]
-                la, lb = la[keep], lb[keep]
-                pack = ((MAXN - n.astype(np.int64)) << 40) \
-                    | (a.astype(np.int64) << 20) | c.astype(np.int64)
-                return pa.table({
-                    "lbl": pa.array(np.concatenate([la, lb])),
-                    "best": pa.array(np.concatenate([pack, pack]))})
-
-            cand = edges.map_batches(relabel, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-        else:                       # shuffle twin: labels via joins
-            cand = _mst_relabel_shuffle(edges, labels, MAXN)
-
-        sel = sorted_group_aggregate(
-            cand, ["lbl"], [("best", "min")],
-            precombine=True).take_all()
-        if not sel:
+        best = merge(np.full(len(nodes), _NO_EDGE, dtype=np.int64),
+                     map_blocks(_mst_candidates, packs, local,
+                                lab if local else ray.put(lab)), "min")
+        pk = np.unique(best[best != _NO_EDGE])
+        if len(pk) == 0:
             break
-        merged = 0
-        for r in sorted(sel, key=lambda x: x["lbl"]):
-            pack = int(r["best"])
-            a = (pack >> 20) & ((1 << 20) - 1)
-            b_ = pack & ((1 << 20) - 1)
-            n = MAXN - (pack >> 40)
-            ra, rb = find(a), find(b_)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-                chosen[(a, b_)] = (n, rnd)
-                merged += 1
-        if merged == 0:
-            break
+        chosen = np.r_[chosen, pk]
+        added = np.r_[added, np.full(len(pk), rnd)]
+        # hook each selected edge's larger root to the smaller, jump
+        ra, rb = lab[(pk >> _MST_BITS) & _MST_MASK], lab[pk & _MST_MASK]
+        while (lab[ra] != lab[rb]).any():
+            lo = np.minimum(lab[ra], lab[rb])
+            np.minimum.at(lab, lab[ra], lo)
+            np.minimum.at(lab, lab[rb], lo)
+            lab = jump(lab)
 
-    rows = sorted(chosen.items())
+    order = np.argsort(chosen & ((1 << 2 * _MST_BITS) - 1))   # by (a, b)
+    pk = chosen[order]
     return pa.table({
-        "part_a": pa.array([ab[0] for ab, _ in rows], type=pa.int64()),
-        "part_b": pa.array([ab[1] for ab, _ in rows], type=pa.int64()),
-        "n_copurchase": pa.array([v[0] for _, v in rows],
-                                 type=pa.int64()),
-        "round_added": pa.array([v[1] for _, v in rows],
-                                type=pa.int64())})
-
-
-def _mst_relabel_shuffle(edges, labels: dict, MAXN: int):
-    """Borůvka relabel, shuffle plan: the (node → label) map is a
-    DATASET joined onto each endpoint via `sorted_merge_join` — node
-    state never broadcasts (the 100-TB twin of the dense closure
-    capture).  Emits the same (lbl, best) candidate rows as the dense
-    relabel, bit-for-bit."""
-    import ray.data as rd
-
-    from ..stages.join import sorted_merge_join
-
-    items = sorted(labels.items())
-    lab_a = rd.from_arrow(pa.table({
-        "part_a": pa.array([k for k, _ in items], type=pa.int64()),
-        "la": pa.array([v for _, v in items], type=pa.int64())}))
-    lab_b = rd.from_arrow(pa.table({
-        "part_b": pa.array([k for k, _ in items], type=pa.int64()),
-        "lb": pa.array([v for _, v in items], type=pa.int64())}))
-    j = sorted_merge_join(
-        sorted_merge_join(edges, lab_a, on="part_a"),
-        lab_b, on="part_b")
-
-    def pack_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "la" not in b.schema.names:
-            return pa.table({"lbl": pa.array([], type=pa.int64()),
-                             "best": pa.array([], type=pa.int64())})
-        a = b.column("part_a").to_numpy(zero_copy_only=False)
-        c = b.column("part_b").to_numpy(zero_copy_only=False)
-        n = b.column("n_copurchase").to_numpy(zero_copy_only=False)
-        la = b.column("la").to_numpy(zero_copy_only=False)
-        lb = b.column("lb").to_numpy(zero_copy_only=False)
-        keep = la != lb
-        a, c, n = a[keep], c[keep], n[keep]
-        la, lb = la[keep], lb[keep]
-        pack = ((MAXN - n.astype(np.int64)) << 40) \
-            | (a.astype(np.int64) << 20) | c.astype(np.int64)
-        return pa.table({
-            "lbl": pa.array(np.concatenate([la, lb])),
-            "best": pa.array(np.concatenate([pack, pack]))})
-
-    return j.map_batches(pack_rows, batch_format="pyarrow",
-                         zero_copy_batch=True)
+        "part_a": nodes.take(pa.array((pk >> _MST_BITS) & _MST_MASK)),
+        "part_b": nodes.take(pa.array(pk & _MST_MASK)),
+        "n_copurchase": pa.array(_MST_MAXN - (pk >> 2 * _MST_BITS)),
+        "round_added": pa.array(added[order], type=pa.int64())})
 
 
 def kg_gold_eval(sf_dir: str):

@@ -28,11 +28,9 @@ __all__ = ["decode_image", "byte_histogram", "BinaryFeaturizer",
 N_BUCKETS = 16
 
 
-def _featurizer_pool(plan: str, concurrency: int | None) -> int:
-    """``concurrency`` when the caller fixes it, else the budgeted size
-    of the plan's one featurizer pool (the HMM tagger's 6/8 share)."""
-    if concurrency is not None:
-        return concurrency
+def _featurizer_pool(plan: str) -> int:
+    """The budgeted size of the plan's one featurizer pool (the HMM
+    tagger's 6/8 share)."""
     return pool_budget(plan, (6, None))
 
 
@@ -80,19 +78,18 @@ class BinaryFeaturizer:
         })
 
 
-def binary_features(pages, concurrency: int | None = None, batch_size: int = 256,
-                    column: str = "html"):
+def binary_features(pages, batch_size: int = 256, column: str = "html"):
     """binary-column rows → per-url feature rows via the featurizer pool.
 
     ``pages``: parquet path(s) or an existing Dataset.  Size
-    ``batch_size`` to the payloads: batch_size × payload × concurrency
+    ``batch_size`` to the payloads: batch_size × payload × pool size
     must fit the workers' heap (e.g. 16 for 10 MB images).
     """
     ds = pages if hasattr(pages, "map_batches") else \
         rd.read_parquet(pages, columns=["url", column])
     return ds.map_batches(BinaryFeaturizer, fn_constructor_kwargs={"column": column},
                           batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=_featurizer_pool("binary_features", concurrency),
+                          concurrency=_featurizer_pool("binary_features"),
                           num_cpus=1)
 
 
@@ -217,21 +214,21 @@ def _synth_binary_column(sf_dir: str, synth_fn):
     return ds.map_batches(synth, batch_format="pyarrow", batch_size=128)
 
 
-def image_features(sf_dir: str, concurrency: int | None = None):
+def image_features(sf_dir: str):
     """Real image pipeline over uncompressed BMP payloads: synthesize →
     binary column → actor-pool decode/resize/featurize."""
     return _synth_binary_column(sf_dir, synth_bmp_payload).map_batches(
         ImageFeaturizer, batch_format="pyarrow", batch_size=128,
-        concurrency=_featurizer_pool("image_features", concurrency),
+        concurrency=_featurizer_pool("image_features"),
         num_cpus=1)
 
 
-def audio_features(sf_dir: str, concurrency: int | None = None):
+def audio_features(sf_dir: str):
     """Real audio pipeline over PCM WAV payloads: synthesize → binary
     column → actor-pool decode/featurize."""
     return _synth_binary_column(sf_dir, synth_wav_payload).map_batches(
         AudioFeaturizer, batch_format="pyarrow", batch_size=128,
-        concurrency=_featurizer_pool("audio_features", concurrency),
+        concurrency=_featurizer_pool("audio_features"),
         num_cpus=1)
 
 
@@ -296,14 +293,13 @@ class VideoFeaturizer:
                          for k, v in rows.items()})
 
 
-def video_features(sf_dir: str, concurrency: int | None = None,
-                   stride: int = 2):
+def video_features(sf_dir: str, stride: int = 2):
     """Real video pipeline over KGV1 clips: synthesize → binary column
     → actor-pool seekable frame-sample + decode + featurize."""
     return _synth_binary_column(sf_dir, synth_video_payload).map_batches(
         VideoFeaturizer, fn_constructor_kwargs={"stride": stride},
         batch_format="pyarrow", batch_size=64,
-        concurrency=_featurizer_pool("video_features", concurrency),
+        concurrency=_featurizer_pool("video_features"),
         num_cpus=1)
 
 
@@ -385,13 +381,12 @@ class ImageDHasher:
                          "dhash": pa.array(sigs, type=pa.int64())})
 
 
-def image_dhash_signatures(sf_dir: str, concurrency: int | None = None):
+def image_dhash_signatures(sf_dir: str):
     """(doc_id, dhash) over the near-dup-planted BMP corpus — synthesize
     → binary column through the object store → actor-pool decode+hash."""
     return _synth_binary_column(sf_dir, synth_bmp_payload_neardup) \
         .map_batches(ImageDHasher, batch_format="pyarrow", batch_size=128,
-                     concurrency=_featurizer_pool("image_dhash_signatures",
-                                                  concurrency),
+                     concurrency=_featurizer_pool("image_dhash_signatures"),
                      num_cpus=1)
 
 
@@ -493,7 +488,7 @@ def audio_fingerprint_pairs(sf_dir: str, max_hamming: int = 3,
     sigs = _synth_binary_column(sf_dir, synth_wav_payload_neardup) \
         .map_batches(AudioFingerprinter, batch_format="pyarrow",
                      batch_size=128,
-                     concurrency=_featurizer_pool("audio_fingerprint_pairs", None),
+                     concurrency=_featurizer_pool("audio_fingerprint_pairs"),
                      num_cpus=1).materialize()
     return hamming_lsh_pairs(sigs, "doc_id", "afp", "doc_a", "doc_b",
                              max_hamming=max_hamming,
@@ -573,7 +568,7 @@ class SceneChangeDetector:
             "cut_frame": pa.array(cf, type=pa.int64())})
 
 
-def video_scene_changes(sf_dir: str, concurrency: int | None = None):
+def video_scene_changes(sf_dir: str):
     """Shot-boundary detection over the planted-cut clip corpus:
     synthesize → binary column → actor-pool decode + integer delta
     detector.  Detection quality (planted cuts found, negatives clean)
@@ -581,6 +576,5 @@ def video_scene_changes(sf_dir: str, concurrency: int | None = None):
     return _synth_binary_column(sf_dir, synth_video_payload_scenes) \
         .map_batches(SceneChangeDetector, batch_format="pyarrow",
                      batch_size=64,
-                     concurrency=_featurizer_pool("video_scene_changes",
-                                                  concurrency),
+                     concurrency=_featurizer_pool("video_scene_changes"),
                      num_cpus=1)

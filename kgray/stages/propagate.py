@@ -1,6 +1,7 @@
 """One propagation primitive for the iterative graph analytics:
 ``y = A ⊗ x`` over an integer-indexed edge set, under the ``sum`` or
-``min`` semiring (GraphBLAS's ``mxv``, Kepner et al. HPEC 2016).
+``min`` semiring (GraphBLAS's ``mxv``, Kepner et al. HPEC 2016), or a
+``mode`` vote.
 
 :class:`EdgeIndex` indexes an edge Dataset (``src``, ``dst``; string
 or integer keys) ONCE:
@@ -20,8 +21,9 @@ that the driver builds and sweeps itself, with no task at all.
 one value per node, or one COLUMN per node set) along the edges:
 ``forward`` computes ``y[dst] = ⊕ x[src]``, ``reverse`` the transposed
 ``y[src] = ⊕ x[dst]``, ``both`` the two at once (the undirected
-graph).  Nodes
-no edge reaches get ⊕'s identity (0 for sum, int64 max for min).
+graph).  Under ``mode`` each node takes the value most of its
+neighbours send, ties to the smallest value.  Nodes no edge reaches
+get ⊕'s identity (0 for sum, int64 max for min and mode).
 
 The plan only decides how the vector meets the edge blocks:
 
@@ -40,6 +42,9 @@ The plan only decides how the vector meets the edge blocks:
 
 Both plans reduce int64 values with an associative, commutative
 operator, so their results are bit-identical whatever the block split.
+A ``mode`` partial is a set of (target, value) counts: ⊕ sums the
+counts, and the vote is taken only after the merge (a shuffle reducer
+sees every count for its target range).
 The node universe and the node-sized vectors live on the driver in both
 plans (the algorithms' recurrences are NumPy); only edge-sized work is
 distributed.
@@ -51,7 +56,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-__all__ = ["EdgeIndex"]
+__all__ = ["EdgeIndex", "jump", "map_blocks", "merge", "partial", "pin"]
 
 # at or below this many nodes, sweeps broadcast the vector (~16 MB per
 # int64 column at the limit); above it each block gets its own range
@@ -60,7 +65,8 @@ _DENSE_MAX_NODES = 2_000_000
 # distinct edges per pinned block (16 bytes each, ~16 MB a block)
 _BLOCK_EDGES = 1 << 20
 
-_IDENTITY = {"sum": 0, "min": np.iinfo(np.int64).max}
+_IDENTITY = {"sum": 0, "min": np.iinfo(np.int64).max,
+             "mode": np.iinfo(np.int64).max}
 _UFUNC = {"sum": np.add, "min": np.minimum}
 _DIRECTIONS = {"forward": (("si", "di"),), "reverse": (("di", "si"),),
                "both": (("si", "di"), ("di", "si"))}
@@ -104,20 +110,40 @@ def _edge_block(n: int, *parts) -> pa.Table:
     return pa.table({"si": si, "di": di})
 
 
+def _votes(to: np.ndarray, val: np.ndarray, cnt: np.ndarray):
+    """Vote counts ``cnt`` summed per distinct (target, value) pair:
+    the targets and one (value, count) row each, sorted by both."""
+    order = np.lexsort((val, to))
+    to, val = to[order], val[order]
+    starts = np.flatnonzero(np.r_[True, (to[1:] != to[:-1])
+                                  | (val[1:] != val[:-1])])
+    return to[starts], np.stack(
+        [val[starts], np.add.reduceat(cnt[order], starts)], axis=1)
+
+
+def partial(to: np.ndarray, vals: np.ndarray, op: str):
+    """A sparse partial: the distinct targets ``to`` and the ⊕ of the
+    ``vals`` sent to each (``mode``: one (value, count) row per
+    distinct (target, value) pair); None when nothing is sent."""
+    if len(to) == 0:
+        return None
+    if op == "mode":
+        return _votes(to, vals, np.ones(len(to), dtype=np.int64))
+    order = np.argsort(to, kind="stable")
+    to = to[order]
+    starts = np.flatnonzero(np.r_[True, to[1:] != to[:-1]])
+    return to[starts], _UFUNC[op].reduceat(vals[order], starts, axis=0)
+
+
 def _push(block: pa.Table, x: np.ndarray, op: str, direction: str,
           lo: int = 0):
     """One block's sparse partial of a sweep: the nodes it reaches and
     the ⊕-reduced values pushed into them.  ``x`` holds the vector's
     rows from node ``lo`` on."""
-    if block.num_rows == 0:
-        return None
     cols = {c: block.column(c).to_numpy() for c in ("si", "di")}
     frm = np.concatenate([cols[f] for f, _ in _DIRECTIONS[direction]]) - lo
     to = np.concatenate([cols[t] for _, t in _DIRECTIONS[direction]])
-    order = np.argsort(to, kind="stable")
-    to = to[order]
-    starts = np.flatnonzero(np.r_[True, to[1:] != to[:-1]])
-    return to[starts], _UFUNC[op].reduceat(x[frm[order]], starts, axis=0)
+    return partial(to, x[frm], op)
 
 
 def _push_split(block: pa.Table, x: np.ndarray, lo: int, op: str,
@@ -132,20 +158,76 @@ def _push_split(block: pa.Table, x: np.ndarray, lo: int, op: str,
     return list(zip(np.split(part[0], cuts), np.split(part[1], cuts)))
 
 
-def _merge(y: np.ndarray, parts, op: str, lo: int = 0) -> np.ndarray:
+def merge(y: np.ndarray, parts, op: str, lo: int = 0) -> np.ndarray:
     """⊕-merge sparse partials into ``y``, which holds rows from node
-    ``lo`` on."""
-    for part in parts:
-        if part is not None:
-            to, vals = part
-            y[to - lo] = _UFUNC[op](y[to - lo], vals)
+    ``lo`` on.  ``mode`` sums the counts first, then each target takes
+    its most counted value, ties to the smallest."""
+    parts = [p for p in parts if p is not None and len(p[0])]
+    if op == "mode" and parts:
+        to, vc = (np.concatenate(a) for a in zip(*parts))
+        to, vc = _votes(to, vc[:, 0], vc[:, 1])
+        order = np.lexsort((vc[:, 0], -vc[:, 1], to))
+        first = order[np.r_[True, to[order][1:] != to[order][:-1]]]
+        y[to[first] - lo] = vc[first, 0]
+        return y
+    for to, vals in parts:
+        y[to - lo] = _UFUNC[op](y[to - lo], vals)
     return y
 
 
 def _reduce(lo: int, hi: int, shape: tuple, op: str, *parts) -> np.ndarray:
     """The shuffle plan's reduce side: rows ``lo``..``hi`` of ``y``."""
-    return _merge(np.full((hi - lo,) + shape, _IDENTITY[op], dtype=np.int64),
-                  parts, op, lo)
+    return merge(np.full((hi - lo,) + shape, _IDENTITY[op], dtype=np.int64),
+                 parts, op, lo)
+
+
+def map_blocks(fn, blocks, local: bool, *args) -> list:
+    """``fn(block, *args)`` for every block: in-process for driver-held
+    blocks (``local``), else one raw Ray task per block."""
+    if local:
+        return [fn(b, *args) for b in blocks]
+    import ray
+
+    task = ray.remote(fn)
+    return ray.get([task.remote(b, *args) for b in blocks])
+
+
+def pin(edges, plan: str = "auto"):
+    """An edge Dataset (``src``, ``dst`` and any other columns) made
+    ready for block passes: ``(blocks, local, nodes)``.  A graph of at
+    most ``_BLOCK_EDGES`` edges is one table the driver holds
+    (``local``) unless ``plan`` is ``"shuffle"``: a task round trip per
+    pass (~20 ms over 9-14 blocks of a 15k-edge graph at 4 CPUs,
+    against 0.6 ms in-process) would cost more than the pass itself.
+    Otherwise ``blocks`` are the Dataset's block refs.  ``nodes`` is the
+    sorted distinct endpoint set."""
+    import ray
+
+    edges = edges.materialize()
+    blocks = edges.to_arrow_refs()
+    local = plan != "shuffle" and edges.count() <= _BLOCK_EDGES
+    if local:
+        tables = [t for t in ray.get(blocks) if t.num_rows]
+        blocks = [pa.concat_tables(tables, promote_options="permissive")
+                  ] if tables else []
+    ends = [a for a in map_blocks(_endpoints, blocks, local) if len(a)]
+    if ends:
+        nodes = pc.unique(pa.concat_arrays(ends))
+        return blocks, local, nodes.take(pc.array_sort_indices(nodes))
+    schema = edges.schema()  # Ray drops an empty Dataset's schema now and then
+    return blocks, local, pa.array([], type=schema.types[
+        schema.names.index("src")] if schema else pa.string())
+
+
+def jump(label: np.ndarray) -> np.ndarray:
+    """Pointer jumping: ``label = label[label]`` until it stops
+    changing.  Every label must be a node at or below its own position,
+    so each chain ends at a node labelled with itself."""
+    while True:
+        nxt = label[label]
+        if (nxt == label).all():
+            return label
+        label = nxt
 
 
 class EdgeIndex:
@@ -158,25 +240,8 @@ class EdgeIndex:
 
         assert plan in ("auto", "dense", "shuffle")
         edges = edges.materialize()
-        blocks = edges.to_arrow_refs()
         n_parts = -(-edges.count() // _BLOCK_EDGES)
-        # A dense graph of one block is indexed and swept on the driver:
-        # a task round trip per sweep (~20 ms over 9-14 blocks of a
-        # 15k-edge graph at 4 CPUs, against 0.6 ms in-process) would
-        # cost more than the sweep itself.
-        self._local = plan != "shuffle" and n_parts <= 1
-        if self._local:
-            tables = [t for t in ray.get(blocks) if t.num_rows]
-            blocks = [pa.concat_tables(tables, promote_options="permissive")
-                      ] if tables else []
-        ends = [a for a in self._map(_endpoints, blocks) if len(a)]
-        if ends:
-            nodes = pc.unique(pa.concat_arrays(ends))
-            self.nodes = nodes.take(pc.array_sort_indices(nodes))
-        else:       # Ray drops an empty Dataset's schema now and then
-            schema = edges.schema()
-            self.nodes = pa.array([], type=schema.types[schema.names.index(
-                "src")] if schema else pa.string())
+        blocks, self._local, self.nodes = pin(edges, plan)
         self.n = n = len(self.nodes)
         assert n < 3_000_000_000, "packed edge keys need n² < 2⁶³"
         self.dense = plan == "dense" or (plan == "auto"
@@ -206,22 +271,14 @@ class EdgeIndex:
         return [block.remote(self.n, *[p[j] for p in parts])
                 for j in range(k)]
 
-    def _map(self, fn, blocks, *args) -> list:
-        """``fn(block, *args)`` for every block: in-process for a
-        driver-held graph, else one raw Ray task per block."""
-        if self._local:
-            return [fn(b, *args) for b in blocks]
-        import ray
-
-        task = ray.remote(fn)
-        return ray.get([task.remote(b, *args) for b in blocks])
-
     def sweep(self, x: np.ndarray, op: str = "sum",
               direction: str = "forward") -> np.ndarray:
-        """``y = A ⊗ x`` under ``op`` (``"sum"`` or ``"min"``):
-        ``x`` is int64 with one row per node (1-D, or 2-D with one
-        column per vector); ``y`` has the same shape."""
+        """``y = A ⊗ x`` under ``op`` (``"sum"``, ``"min"`` or
+        ``"mode"``): ``x`` is int64 with one row per node (1-D, or for
+        sum and min 2-D with one column per vector); ``y`` has the same
+        shape."""
         x = np.ascontiguousarray(x, dtype=np.int64)
+        assert op != "mode" or x.ndim == 1
         y = np.full(x.shape, _IDENTITY[op], dtype=np.int64)
         if not self._blocks:
             return y
@@ -229,8 +286,8 @@ class EdgeIndex:
             import ray
 
             x_arg = x if self._local else ray.put(x)
-            return _merge(y, self._map(_push, self._blocks, x_arg, op,
-                                       direction), op)
+            return merge(y, map_blocks(_push, self._blocks, self._local,
+                                       x_arg, op, direction), op)
         return self._sweep_shuffle(x, op, direction)
 
     def _sweep_shuffle(self, x, op, direction):

@@ -16,9 +16,12 @@ if [ -z "${PYTEST_ONLY:-}" ]; then
 
 echo "== entry() smoke =="
 python - <<'EOF' || exit 1
+import os
 import ray
-ray.init(address="local", num_cpus=8, include_dashboard=False,
-         logging_level="ERROR")
+ray.init(address="local",
+         num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                     len(os.sched_getaffinity(0)))),
+         include_dashboard=False, logging_level="ERROR")
 import __ray_entry__ as e
 out = e.entry()
 import ray.data

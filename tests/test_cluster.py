@@ -61,6 +61,36 @@ def test_connected_components_empty(ray_session):
     assert connected_components(empty).count() == 0
 
 
+def test_connected_components_unconverged_raises(ray_session):
+    """Running out of ``max_iters`` is an error, never an unconverged
+    labelling: one round cannot also confirm a chain's fixpoint."""
+    import pytest
+
+    from kgray.pipelines.cluster import connected_components
+
+    chain = pa.table({"id_a": pa.array(range(0, 6), type=pa.int64()),
+                      "id_b": pa.array(range(1, 7), type=pa.int64())})
+    with pytest.raises(RuntimeError, match="no fixpoint after 1 rounds"):
+        connected_components(chain, max_iters=1)
+    got = connected_components(chain, max_iters=2).to_pandas()
+    assert (got["cluster_id"] == 0).all() and len(got) == 7
+
+
+def test_connected_components_deep_path_default_rounds(ray_session):
+    """A 100-node path whose smallest id sits at the far end (ids 1..99,
+    then 0): min labels alone move 0 one hop per round, so this needs
+    root hooking to settle within the default ``max_iters``."""
+    from kgray.pipelines.cluster import connected_components
+
+    ids = list(range(1, 100)) + [0]
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(ids, ids[1:])}
+    tbl = pa.table({"id_a": pa.array([a for a, _ in pairs], type=pa.int64()),
+                    "id_b": pa.array([b for _, b in pairs], type=pa.int64())})
+    got = connected_components(tbl).to_pandas()
+    assert dict(zip(got["node"], got["cluster_id"])) == \
+        _union_find_oracle(pairs)
+
+
 def test_neardup_clusters_e2e(ray_session):
     """Pairs → clusters → keep-one over the sf0.001 documents table;
     exactly the union-find resolution of the verified LSH pair set."""

@@ -145,8 +145,7 @@ def test_multimodal_stub(ray_session, tiny_corpus_dir):
         multimodal.decode_image(b"\xff\xd8\xff")
     h = multimodal.byte_histogram(b"abc")
     assert h.sum() == 3 and h.shape == (16,)
-    df = multimodal.binary_features(page_files(tiny_corpus_dir),
-                                    concurrency=1).to_pandas()
+    df = multimodal.binary_features(page_files(tiny_corpus_dir)).to_pandas()
     assert len(df) == 120
     assert (df["n_bytes"] > 0).all()
     assert all(sum(f) == n for f, n in zip(df["features"], df["n_bytes"]))
@@ -165,7 +164,7 @@ def test_multimodal_large_payloads(ray_session):
         "url": [f"blob://{i}" for i in range(48)],
         "html": payloads,
     })).repartition(6)
-    df = binary_features(src, concurrency=1, batch_size=8).to_pandas()
+    df = binary_features(src, batch_size=8).to_pandas()
     assert len(df) == 48
     assert (df["n_bytes"] == 1_000_000).all()
     assert all(sum(f) == 1_000_000 for f in df["features"])

@@ -71,7 +71,7 @@ def test_image_features_pipeline_matches_serial(ray_session, tmp_path):
     from kgray.pipelines.multimodal import image_features, synth_bmp_payload
 
     sf = _docs_dir(tmp_path)
-    got = (image_features(sf, concurrency=2).to_pandas()
+    got = (image_features(sf).to_pandas()
            .sort_values("doc_id", ignore_index=True))
     assert len(got) == 40
     for _, row in got.iloc[:8].iterrows():
@@ -88,7 +88,7 @@ def test_audio_features_pipeline_matches_serial(ray_session, tmp_path):
     from kgray.pipelines.multimodal import audio_features, synth_wav_payload
 
     sf = _docs_dir(tmp_path)
-    got = (audio_features(sf, concurrency=2).to_pandas()
+    got = (audio_features(sf).to_pandas()
            .sort_values("doc_id", ignore_index=True))
     assert len(got) == 40
     assert (got["sample_rate"] == 8000).all()
@@ -127,7 +127,7 @@ def test_video_features_pipeline_matches_serial(ray_session, tmp_path):
                                             video_features)
 
     sf = _docs_dir(tmp_path)
-    got = (video_features(sf, concurrency=2, stride=2).to_pandas()
+    got = (video_features(sf, stride=2).to_pandas()
            .sort_values("doc_id", ignore_index=True))
     assert len(got) == 40
     for _, row in got.iloc[:6].iterrows():

@@ -1,5 +1,6 @@
-"""stages/propagate.py: the edge index and the sweep ``y = A ⊗ x``,
-both plans, against a serial NumPy loop over the distinct edges."""
+"""stages/propagate.py: the edge index and the sweep ``y = A ⊗ x``
+(sum, min and the mode vote), both plans, against a serial loop over
+the distinct edges."""
 
 import numpy as np
 import pyarrow as pa
@@ -23,12 +24,19 @@ def _serial(src, dst, nodes, x, op, direction):
     ident = 0 if op == "sum" else np.iinfo(np.int64).max
     f = np.add if op == "sum" else np.minimum
     y = np.full(x.shape, ident, dtype=np.int64)
+    votes = {}
     for s, d in sorted(set(zip(src, dst))):
         pushes = {"forward": [(s, d)], "reverse": [(d, s)],
                   "both": [(s, d), (d, s)]}[direction]
         for frm, to in pushes:
-            y[ix[to]] = f(y[ix[to]], x[ix[frm]])
-    return y
+            if op == "mode":
+                count = votes.setdefault(ix[to], {})
+                count[x[ix[frm]]] = count.get(x[ix[frm]], 0) + 1
+            else:
+                y[ix[to]] = f(y[ix[to]], x[ix[frm]])
+    for to, count in votes.items():   # most votes, ties to the smallest
+        y[to] = min(count, key=lambda v: (-count[v], v))
+    return y, votes
 
 
 @pytest.mark.parametrize("key", [str, int], ids=["string", "int64"])
@@ -62,12 +70,18 @@ def test_sweep_matches_serial_loop(ray_session, monkeypatch, key, plan,
     x_sum = rng.integers(0, 1000, len(nodes)).astype(np.int64)
     x_min = rng.integers(0, 1000, (len(nodes), 2)).astype(np.int64)
     x_min[::3, 0] = np.iinfo(np.int64).max            # identity rows skip
-    for op, x in (("sum", x_sum), ("min", x_min)):
+    x_mode = rng.integers(0, 4, len(nodes)).astype(np.int64)
+    for op, x in (("sum", x_sum), ("min", x_min), ("mode", x_mode)):
         for direction in ("forward", "reverse", "both"):
             got = idx.sweep(x, op, direction)
-            exp = _serial(src, dst, nodes, x, op, direction)
+            exp, votes = _serial(src, dst, nodes, x, op, direction)
             assert got.shape == x.shape
             np.testing.assert_array_equal(got, exp, err_msg=f"{op} {direction}")
+            if op == "mode":
+                # the vote's tie rule is exercised: some node's top
+                # count is shared by two or more values
+                assert any(sorted(c.values())[-2:] == [max(c.values())] * 2
+                           for c in votes.values() if len(c) > 1)
 
     # the sink has no out-edges and the hub reaches every other node
     outdeg = idx.sweep(np.ones(idx.n, dtype=np.int64), direction="reverse")

@@ -140,12 +140,16 @@ def test_graph_diff_monotone_and_conserving(ray_session):
         assert r["support_gained"] >= 0
 
 
-def test_mst_shuffle_plan_equals_dense(ray_session):
+def test_mst_task_blocks_equal_driver_block(ray_session, monkeypatch):
+    """At 64 edges a block, Borůvka's rounds run as raw Ray tasks over
+    pinned blocks; the forest and its rounds equal the driver-held
+    one-block run."""
     from kgray.pipelines.graph import copurchase_mst
+    from kgray.stages import propagate
 
-    dense = copurchase_mst(SF, plan="dense").to_pylist()
-    shuffle = copurchase_mst(SF, plan="shuffle").to_pylist()
-    assert dense == shuffle
+    driver = copurchase_mst(SF).to_pylist()
+    monkeypatch.setattr(propagate, "_BLOCK_EDGES", 64)
+    assert copurchase_mst(SF).to_pylist() == driver
 
 
 def test_zh_mention_stats_replay(ray_session):
