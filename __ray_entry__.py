@@ -385,7 +385,7 @@ _MEDIUM = {
     "unigram_logprob", "video_scene_changes", "neardup_clusters",
     "kg_functionality_violations", "purchases_except_views_all",
     "events_grouping_sets", "events_ks_test", "bm25_search",
-    "minhash_lsh", "order_price_global_rank", "orders_cohort_ltv",
+    "order_price_global_rank", "orders_cohort_ltv",
     "region_revenue_rollup", "orders_time_travel", "events_asof_orders",
     "events_value_outliers", "ann_hnsw_topk", "priority_counts_ivm",
     "part_price_stump", "event_sequence_patterns", "minhash_lsh_pairs",

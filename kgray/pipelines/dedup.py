@@ -15,17 +15,14 @@ Scale notes (the 100 TB story):
 * embedding near-dup: block-wise cosine against a broadcast normalized
   matrix (numpy matmul per batch, no pairwise shuffle); hyperplane-LSH
   twin for the scale path.
-* pair VERIFICATION picks its plan by candidate-set size, the same
-  rule as broadcast-vs-shuffle join selection: below
-  ``_DRIVER_VERIFY_MAX`` candidate ids the per-id features are small
-  enough to collect into one map and the pairs are verified on the
-  driver (no join fixed costs); above it, verification is a
-  distributed hash join (:func:`_verify_join`) — candidate ids (ids
-  only) broadcast to semi-join-filter the feature table, pairs join
-  the filtered features on both sides (``sorted_merge_join``), metric
-  computed vectorized per joined batch.  Force either plan with
-  ``verify='driver'`` / ``verify='join'``; both are exact and
-  pair-for-pair identical (pinned by tests).
+* the candidate-pair tail runs one plan for the whole LSH family:
+  bucket pairing (:func:`_bucket_pairs`) and verification
+  (:func:`_verify_pairs`) join through ``stages.join.auto_join``
+  (broadcast at or below ``_BUCKET_BROADCAST_MAX`` bucket keys /
+  ``_VERIFY_BROADCAST_MAX`` feature rows, sorted-merge above), and
+  pairs repeated across bands collapse in a
+  ``stages.propagate.EdgeIndex``.  Each metric (Jaccard, Hamming,
+  cosine) supplies only its vectorized per-batch check.
 """
 
 from __future__ import annotations
@@ -53,17 +50,12 @@ __all__ = ["exact_dedup", "shingle_set", "jaccard_pairs_bruteforce",
 _WS = re.compile(r"\s+")
 _MERSENNE = (1 << 61) - 1
 
-# verification plan switch: at or below this many candidate ids the
-# feature map fits comfortably on the driver and the join fixed costs
-# (~2 sorts per side) dominate — verify driver-side; above, hash join.
-_DRIVER_VERIFY_MAX = 50_000
-
-
-def _use_join_verify(verify: str, n_candidates: int) -> bool:
-    assert verify in ("auto", "driver", "join")
-    if verify != "auto":
-        return verify == "join"
-    return n_candidates > _DRIVER_VERIFY_MAX
+# auto_join broadcast limits: bucket pairing broadcasts at or below
+# this many multi-member bucket keys (32 MB of int64 (key, size) rows)...
+_BUCKET_BROADCAST_MAX = 2_000_000
+# ...and verification at or below this many candidate feature rows
+# (the join fixed costs, ~2 sorts per side, dominate small inputs)
+_VERIFY_BROADCAST_MAX = 50_000
 
 
 def _tokens(text: str) -> list:
@@ -227,10 +219,10 @@ def jaccard_pairs_bruteforce(sf_dir: str, threshold: float = 0.5, k: int = 3):
 
 
 def _mixed_key(batch: pa.Table, bucket_cols: list) -> np.ndarray:
-    """Mix the bucket-key columns into one uint64 per row (vectorized);
-    used only for set-membership filters, where a (astronomically rare)
-    64-bit collision merely admits extra rows that downstream exact
-    verification discards."""
+    """Mix the bucket-key columns into one uint64 per row (vectorized):
+    the bucket join key, where a (astronomically rare) 64-bit collision
+    merely merges two buckets' rows into extra candidate pairs that
+    downstream exact verification discards."""
     acc = np.zeros(batch.num_rows, dtype=np.uint64)
     for c in bucket_cols:
         v = batch.column(c).to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -308,58 +300,41 @@ def _sorted_run_pairs(srt, cols: list, id_col: str, parts: list) -> None:
             parts.append(rd.from_arrow(pe))
 
 
-def _distinct_pairs(parts: list, empty):
-    from ..stages.aggregate import sorted_group_aggregate
-
-    if not parts:
-        return empty
-    pairs = parts[0]
-    for p in parts[1:]:
-        pairs = pairs.union(p)
-    distinct = sorted_group_aggregate(
-        pairs.map_batches(
-            lambda b: b.append_column("__one",
-                                      pa.array(np.ones(b.num_rows, dtype=np.int64))),
-            batch_format="pyarrow"),
-        ["id_a", "id_b"], [("__one", "sum")])
-    return distinct.map_batches(lambda b: b.drop_columns(["__one"]),
-                                batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _bucket_pairs(ds, bucket_cols: list, id_col: str, max_bucket: int = 512,
-                  broadcast_max: int = 2_000_000):
+def _bucket_pairs(ds, bucket_cols: list, id_col: str, max_bucket: int = 512):
     """Distributed candidate id pairs from LSH-style buckets.
 
-    Returns a Dataset ``{id_a, id_b}`` of DISTINCT pairs (id_a < id_b).
-    No bucket's member rows are ever paired on the driver:
+    Returns the DISTINCT pairs (``src`` < ``dst``) as a
+    :class:`~kgray.stages.propagate.EdgeIndex`, whose ``nodes`` are the
+    sorted candidate ids.  No bucket's member rows are ever paired on
+    the driver:
 
     1. bucket sizes via per-block Arrow combine + ``sorted_group_aggregate``,
-    2. bucket keys with 2..max_bucket members select their rows, which
-       are co-located with a sort on the bucket key and paired per
-       contiguous run inside each block — runs touching a block
-       boundary go through one small driver-side pass (≤ 2 buckets ×
-       max_bucket rows per block, size-independent),
-    3. **degenerate buckets** (> max_bucket members — boilerplate-heavy
+       kept for buckets of 2+ members under one mixed 64-bit key
+       ``__bkey``;
+    2. rows meet those sizes in one ``auto_join`` on ``__bkey``
+       (broadcast at or below ``_BUCKET_BROADCAST_MAX`` bucket keys,
+       sorted-merge above, so the driver never holds more than that);
+    3. rows of buckets with 2..max_bucket members are co-located with a
+       sort on ``__bkey`` and paired per contiguous run inside each
+       block — runs touching a block boundary go through one small
+       driver-side pass (≤ 2 buckets × max_bucket rows per block);
+    4. **degenerate buckets** (> max_bucket members — boilerplate-heavy
        web corpora) emit a min-id *star* (anchor—member edges, O(n) not
-       O(n²)): cluster connectivity for downstream connected-components
-       dedup is preserved while bounding the candidate count.  Exact
-       pair semantics below the cap are unchanged.
-    4. distinct across bands via ``sorted_group_aggregate``.
+       O(n²)), the anchor joined on by ``__bkey``: cluster connectivity
+       for downstream connected-components dedup is preserved while
+       bounding the candidate count.  Exact pair semantics below the
+       cap are unchanged;
+    5. pairs repeated across bands collapse in the ``EdgeIndex``
+       (packed keys in raw tasks, no sort exchange).
 
-    The hot/over row selection is plan-switched on the number of
-    multi-member buckets (r3 VERDICT #2 — the r3 version always
-    collected every multi-member bucket key to the driver and hashed
-    them in a per-row Python loop): ≤ ``broadcast_max`` buckets (16 MB
-    of uint64 keys at the default) collect ONLY the vectorized
-    (key, n) arrays and broadcast them for an ``np.isin`` row filter;
-    above it nothing bucket-count-sized ever reaches the driver — rows
-    and sizes meet in a distributed ``sorted_merge_join`` on the mixed
-    64-bit key (:func:`_bucket_pairs_joined`).  Both plans are pinned
-    pair-identical by ``tests/test_dedup.py``.
+    A 64-bit ``__bkey`` collision merges two buckets' rows: it can only
+    add candidate pairs, which exact verification then drops.
     """
     import pyarrow.compute as pc
 
     from ..stages.aggregate import sorted_group_aggregate
+    from ..stages.join import auto_join
+    from ..stages.propagate import EdgeIndex, map_blocks
 
     n_part = max(8, int(ray.cluster_resources().get("CPU", 8)) // 2)
 
@@ -384,142 +359,61 @@ def _bucket_pairs(ds, bucket_cols: list, id_col: str, max_bucket: int = 512,
         return pa.table({"__bkey": pa.array(k, type=pa.int64()),
                          "n": b.column("n")})
 
-    multi_ds = sizes.map_batches(multi_with_key, batch_format="pyarrow",
-                                 zero_copy_batch=True).materialize()
-    n_multi = multi_ds.count()
-
-    empty = rd.from_arrow(pa.table({"id_a": pa.array([], type=pa.int64()),
-                                    "id_b": pa.array([], type=pa.int64())}))
-    if n_multi == 0:
-        return empty
-    if n_multi > broadcast_max:
-        return _bucket_pairs_joined(ds, multi_ds, bucket_cols, id_col,
-                                    max_bucket, n_part, empty)
-
-    # --- broadcast plan: ship only the (key, n) uint64/int64 arrays
-    kt = pa.concat_tables(
-        [t for t in ray.get(multi_ds.to_arrow_refs())
-         if t.num_rows and "__bkey" in t.schema.names])
-    keys = kt.column("__bkey").to_numpy(zero_copy_only=False).view(np.uint64)
-    nvals = kt.column("n").to_numpy(zero_copy_only=False)
-    hot_keys = keys[nvals <= max_bucket].copy()
-    over_keys = keys[nvals > max_bucket].copy()
-    hot_ref = ray.put(hot_keys)
-    parts = []
-
-    # --- normal buckets (2..max_bucket): sort-co-locate + per-block pairing
-    if hot_keys.size:
-        def keep_hot(batch: pa.Table) -> pa.Table:
-            mask = np.isin(_mixed_key(batch, bucket_cols), ray.get(hot_ref))
-            return batch.filter(pa.array(mask))
-
-        srt = (ds.map_batches(keep_hot, batch_format="pyarrow", zero_copy_batch=True)
-               .repartition(n_part).sort(bucket_cols).materialize())
-        _sorted_run_pairs(srt, bucket_cols, id_col, parts)
-
-    # --- degenerate buckets: min-id star per bucket, fully distributed
-    if over_keys.size:
-        from ..stages.aggregate import sorted_group_aggregate as _sga
-        over_ref = ray.put(over_keys)
-
-        def keep_over(batch: pa.Table) -> pa.Table:
-            mask = np.isin(_mixed_key(batch, bucket_cols), ray.get(over_ref))
-            return batch.filter(pa.array(mask))
-
-        over_ds = ds.map_batches(keep_over, batch_format="pyarrow",
-                                 zero_copy_batch=True).materialize()
-        anchors = _sga(
-            over_ds.map_batches(
-                lambda b: b.select(bucket_cols + [id_col])
-                           .rename_columns(bucket_cols + ["anchor"]),
-                batch_format="pyarrow"),
-            bucket_cols, [("anchor", "min")])
-        at = pa.concat_tables(
-            [t for t in ray.get(anchors.to_arrow_refs())
-             if t.num_rows and "anchor" in t.schema.names])
-        akeys = _mixed_key(at, bucket_cols)        # vectorized, no row loop
-        amap = dict(zip(akeys.tolist(),
-                        at.column("anchor").to_numpy(
-                            zero_copy_only=False).tolist()))
-        amap_ref = ray.put(amap)
-
-        def star(batch: pa.Table) -> pa.Table:
-            am = ray.get(amap_ref)
-            keys = _mixed_key(batch, bucket_cols)
-            ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-            anchor = np.array([am[int(k)] for k in keys], dtype=np.int64)
-            keep = ids != anchor
-            lo = np.minimum(ids[keep], anchor[keep])
-            hi = np.maximum(ids[keep], anchor[keep])
-            return pa.table({"id_a": pa.array(lo, type=pa.int64()),
-                             "id_b": pa.array(hi, type=pa.int64())})
-
-        parts.append(over_ds.map_batches(star, batch_format="pyarrow",
-                                         zero_copy_batch=True))
-
-    return _distinct_pairs(parts, empty)
-
-
-def _bucket_pairs_joined(ds, multi_ds, bucket_cols: list, id_col: str,
-                         max_bucket: int, n_part: int, empty):
-    """The >broadcast_max plan: rows meet bucket sizes in a distributed
-    sorted-merge join on the mixed 64-bit bucket key — the driver never
-    holds anything proportional to the bucket count.
-
-    Runs (and the over-bucket anchor join) key on ``__bkey`` alone: a
-    64-bit collision merging two buckets admits extra candidate pairs,
-    which downstream exact verification discards — the same documented
-    tolerance as the broadcast filter\'s ``np.isin``.
-    """
-    import pyarrow.compute as pc
-
-    from ..stages.aggregate import sorted_group_aggregate
-    from ..stages.join import sorted_merge_join
-
     def keyed_rows(batch: pa.Table) -> pa.Table:
         k = _mixed_key(batch, bucket_cols).view(np.int64)
         return pa.table({"__bkey": pa.array(k, type=pa.int64()),
                          id_col: batch.column(id_col)})
 
-    keyed = ds.map_batches(keyed_rows, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    joined = sorted_merge_join(keyed, multi_ds, on="__bkey", how="inner")
+    def hot_over(b: pa.Table) -> np.ndarray:
+        if b.num_rows == 0:
+            return np.zeros(2, dtype=np.int64)
+        over = pc.sum(pc.greater(b.column("n"), max_bucket)).as_py()
+        return np.array([b.num_rows - over, over])
+
+    multi = sizes.map_batches(multi_with_key, batch_format="pyarrow",
+                              zero_copy_batch=True).materialize()
+    n_hot, n_over = sum(map_blocks(hot_over, multi.to_arrow_refs(), False),
+                        np.zeros(2, dtype=np.int64))
+    joined = auto_join(
+        ds.map_batches(keyed_rows, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        multi, on="__bkey", broadcast_rows=_BUCKET_BROADCAST_MAX)
+
+    def rows_where(cmp):
+        return joined.map_batches(
+            lambda b: b.filter(cmp(b.column("n"), max_bucket))
+                       .drop_columns(["n"]), batch_format="pyarrow")
+
     parts = []
-
-    hot_rows = joined.map_batches(
-        lambda b: b.filter(pc.less_equal(b.column("n"), max_bucket))
-                   .drop_columns(["n"]),
-        batch_format="pyarrow")
-    srt = hot_rows.repartition(n_part).sort(["__bkey"]).materialize()
-    if srt.count():
+    if n_hot:
+        srt = (rows_where(pc.less_equal).repartition(n_part)
+               .sort(["__bkey"]).materialize())
         _sorted_run_pairs(srt, ["__bkey"], id_col, parts)
-
-    over_rows = joined.map_batches(
-        lambda b: b.filter(pc.greater(b.column("n"), max_bucket))
-                   .drop_columns(["n"]),
-        batch_format="pyarrow").materialize()
-    if over_rows.count():
+    if n_over:
+        over_rows = rows_where(pc.greater).materialize()
         anchors = sorted_group_aggregate(
             over_rows.map_batches(
                 lambda b: b.rename_columns(["__bkey", "anchor"]),
                 batch_format="pyarrow"),
-            ["__bkey"], [("anchor", "min")])
+            ["__bkey"], [("anchor", "min")]).materialize()
 
         def star(batch: pa.Table) -> pa.Table:
             ids = batch.column(id_col).to_numpy(zero_copy_only=False)
             anchor = batch.column("anchor").to_numpy(zero_copy_only=False)
             keep = ids != anchor
-            lo = np.minimum(ids[keep], anchor[keep])
-            hi = np.maximum(ids[keep], anchor[keep])
-            return pa.table({"id_a": pa.array(lo, type=pa.int64()),
-                             "id_b": pa.array(hi, type=pa.int64())})
+            return pa.table({"id_a": pa.array(anchor[keep], type=pa.int64()),
+                             "id_b": pa.array(ids[keep], type=pa.int64())})
 
-        starred = sorted_merge_join(over_rows, anchors, on="__bkey",
-                                    how="inner")
-        parts.append(starred.map_batches(star, batch_format="pyarrow",
-                                         zero_copy_batch=True))
-
-    return _distinct_pairs(parts, empty)
+        parts.append(auto_join(over_rows, anchors, on="__bkey",
+                               broadcast_rows=_BUCKET_BROADCAST_MAX)
+                     .map_batches(star, batch_format="pyarrow",
+                                  zero_copy_batch=True))
+    pairs = (parts[0].union(*parts[1:]) if parts else rd.from_arrow(
+        pa.table({"id_a": pa.array([], type=pa.int64()),
+                  "id_b": pa.array([], type=pa.int64())})))
+    return EdgeIndex(pairs.map_batches(
+        lambda b: b.rename_columns(["src", "dst"]), batch_format="pyarrow",
+        zero_copy_batch=True))
 
 
 def interior_pairs_driver(et: pa.Table, bucket_cols, id_col, run_bounds, pairs_of):
@@ -539,54 +433,48 @@ def interior_pairs_driver(et: pa.Table, bucket_cols, id_col, run_bounds, pairs_o
                      "id_b": pa.array(b, type=pa.int64())})
 
 
-def _collect_pairs(pairs_ds) -> set:
-    """Small-result helper: candidate pairs Dataset → driver set."""
-    tables = [t for t in ray.get(pairs_ds.to_arrow_refs()) if t.num_rows]
-    out = set()
-    for t in tables:
-        out.update(zip(t.column("id_a").to_pylist(), t.column("id_b").to_pylist()))
-    return out
+def _verify_pairs(idx, rows, id_col: str, feature, check,
+                  names: list) -> pa.Table:
+    """Exact verification of the candidate pairs in ``idx`` (the
+    :func:`_bucket_pairs` index), one plan for every metric.
 
+    ``rows`` is semi-join-filtered to the candidate ids (``idx.nodes``,
+    ids only, broadcast), and ``feature(batch)`` builds the feature
+    column of the rows kept.  The pairs join those features on ``src``
+    and then on ``dst`` through ``auto_join``: broadcast at or below
+    ``_VERIFY_BROADCAST_MAX`` feature rows, sorted-merge above (an inner
+    join, so a pair whose member has no feature row is dropped).
+    ``check`` maps each joined batch ``{src, dst, f_a, f_b}`` to the
+    kept rows ``{src, dst, ...}``.  Returns those rows named
+    ``names``, sorted by the pair."""
+    from ..stages.join import auto_join
 
-def _distinct_ids(pairs_ds) -> np.ndarray:
-    """Distinct ids appearing in a {id_a, id_b} pairs Dataset (sorted
-    int64 array — ids only, never features; used as the broadcast
-    semi-join filter)."""
-    tables = [t for t in ray.get(pairs_ds.to_arrow_refs()) if t.num_rows]
-    if not tables:
-        return np.array([], dtype=np.int64)
-    return np.unique(np.concatenate(
-        [t.column("id_a").to_numpy(zero_copy_only=False) for t in tables]
-        + [t.column("id_b").to_numpy(zero_copy_only=False) for t in tables]))
+    empty = pa.table({c: pa.array([], type=pa.int64()) for c in names})
+    if idx.n == 0:
+        return empty
+    need_ref = ray.put(idx.nodes.to_numpy())
 
+    def candidates(batch: pa.Table) -> pa.Table:
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        hit = batch.filter(pa.array(np.isin(ids, ray.get(need_ref))))
+        return pa.table({"src": hit.column(id_col), "f_a": feature(hit)})
 
-def _verify_join(pairs_ds, feat_ds, id_col: str, feat_col: str):
-    """Candidate pairs ⋈ per-id features on BOTH sides — the hash-join
-    verification path (no driver-side feature map).
-
-    ``pairs_ds``: ``{id_a, id_b}``; ``feat_ds``: ``{id_col, feat_col}``.
-    Returns a Dataset ``{id_a, id_b, <feat_col>_a, <feat_col>_b}``
-    (inner join: pairs whose member has no feature row are dropped,
-    matching the map-lookup semantics this replaces).
-    """
-    from ..stages.join import sorted_merge_join
-
-    def rename(key_name, suffix):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.select([id_col, feat_col]).rename_columns(
-                [key_name, f"{feat_col}_{suffix}"])
-        return fn
-
-    j1 = sorted_merge_join(
-        pairs_ds,
-        feat_ds.map_batches(rename("id_a", "a"), batch_format="pyarrow",
-                            zero_copy_batch=True),
-        "id_a")
-    return sorted_merge_join(
-        j1,
-        feat_ds.map_batches(rename("id_b", "b"), batch_format="pyarrow",
-                            zero_copy_batch=True),
-        "id_b")
+    side_a = rows.map_batches(candidates, batch_format="pyarrow",
+                              zero_copy_batch=True).materialize()
+    side_b = side_a.map_batches(lambda b: b.rename_columns(["dst", "f_b"]),
+                                batch_format="pyarrow",
+                                zero_copy_batch=True).materialize()
+    joined = idx.edges()
+    for key, side in (("src", side_a), ("dst", side_b)):
+        joined = auto_join(joined, side, key,
+                           broadcast_rows=_VERIFY_BROADCAST_MAX)
+    kept = [t for t in ray.get(joined.map_batches(
+        check, batch_format="pyarrow", zero_copy_batch=True)
+        .materialize().to_arrow_refs()) if t.num_rows]
+    if not kept:
+        return empty
+    return pa.concat_tables(kept).rename_columns(names).sort_by(
+        [(names[0], "ascending"), (names[1], "ascending")])
 
 
 # --------------------------------------------------------------------------- minhash + lsh
@@ -614,14 +502,12 @@ def minhash_signatures(tokens_shingles: set, a: np.ndarray, b: np.ndarray) -> np
 
 def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3,
                       num_perm: int = 128, bands: int = 32,
-                      max_bucket: int = 512, verify: str = "auto"):
+                      max_bucket: int = 512):
     """MinHash+LSH near-dup pairs, verified with exact Jaccard.
 
     Pipeline: signatures per batch → explode (band, band_hash, doc_id)
-    → groupby bucket → candidate pairs per bucket → dedup pairs →
-    exact verify (size-selected plan, see module docstring: driver
-    map below ``_DRIVER_VERIFY_MAX`` candidates, else
-    :func:`_verify_join` hash join).
+    → groupby bucket → distinct candidate pairs (:func:`_bucket_pairs`)
+    → exact Jaccard verify (:func:`_verify_pairs`).
     """
     a, b = _perm_params(num_perm)
     rows_per_band = num_perm // bands
@@ -648,67 +534,39 @@ def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3,
     # to the corpus and _bucket_pairs consumes it several times
     bands_ds = docs_ds.map_batches(to_bands, batch_format="pyarrow",
                                    zero_copy_batch=True).materialize()
-    pairs_ds = _bucket_pairs(bands_ds, ["band", "band_hash"],
-                             "doc_id", max_bucket=max_bucket).materialize()
-    return _jaccard_verify(pairs_ds, sf_dir, threshold, k, verify)
+    idx = _bucket_pairs(bands_ds, ["band", "band_hash"], "doc_id",
+                        max_bucket=max_bucket)
+    return _jaccard_verify(idx, sf_dir, threshold, k)
 
 
-def _jaccard_verify(pairs_ds, sf_dir: str, threshold: float, k: int,
-                    verify: str) -> pa.Table:
-    """Exact shingle-Jaccard verification of candidate ``{id_a, id_b}``
-    pairs (the plan-switched tail shared by :func:`minhash_lsh_pairs`
-    and :func:`jaccard_prefix_pairs`): semi-join-filter the corpus to
-    candidate ids, rebuild their shingle sets, and keep pairs at
-    Jaccard ≥ threshold.  Returns the sorted ``(doc_a, doc_b)`` table."""
-    need = _distinct_ids(pairs_ds)
-    if not need.size:
-        return pa.table({"doc_a": pa.array([], type=pa.int64()),
-                         "doc_b": pa.array([], type=pa.int64())})
-    need_ref = ray.put(need)
+def _jaccard_verify(idx, sf_dir: str, threshold: float, k: int) -> pa.Table:
+    """Exact shingle-Jaccard verification of the candidate pairs in
+    ``idx`` (the tail shared by :func:`minhash_lsh_pairs` and
+    :func:`jaccard_prefix_pairs`): rebuild the candidates' shingle sets
+    and keep pairs at Jaccard ≥ threshold.  Returns the sorted
+    ``(doc_a, doc_b)`` table."""
+    def shingles(batch: pa.Table) -> pa.Array:
+        return pa.array([sorted(shingle_set(_tokens(t), k))
+                         for t in batch.column("text").to_pylist()],
+                        type=pa.list_(pa.string()))
 
-    def candidate_shingles(batch: pa.Table) -> pa.Table:
-        wanted = ray.get(need_ref)
-        ids_np = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        hit = batch.filter(pa.array(np.isin(ids_np, wanted)))
-        ids, sh = [], []
-        for did, t in zip(hit.column("doc_id").to_pylist(),
-                          hit.column("text").to_pylist()):
-            ids.append(did)
-            sh.append(sorted(shingle_set(_tokens(t), k)))
-        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                         "shingles": pa.array(sh, type=pa.list_(pa.string()))})
+    def check(batch: pa.Table) -> pa.Table:
+        keep = []
+        for sa, sb in zip(batch.column("f_a").to_pylist(),
+                          batch.column("f_b").to_pylist()):
+            inter = len(set(sa) & set(sb))
+            keep.append(bool(sa and sb and inter and inter
+                             / (len(sa) + len(sb) - inter) >= threshold))
+        return batch.select(["src", "dst"]).filter(
+            pa.array(keep, type=pa.bool_()))
 
-    cand_sh = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"]) \
-                .map_batches(candidate_shingles, batch_format="pyarrow",
-                             zero_copy_batch=True)
-
-    def _jaccard_ok(A: set, B: set) -> bool:
-        inter = len(A & B)
-        return bool(A and B and inter
-                    and inter / (len(A) + len(B) - inter) >= threshold)
-
-    if _use_join_verify(verify, need.size):
-        def check(batch: pa.Table) -> pa.Table:
-            keep = [_jaccard_ok(set(sa), set(sb))
-                    for sa, sb in zip(batch.column("shingles_a").to_pylist(),
-                                      batch.column("shingles_b").to_pylist())]
-            return batch.select(["id_a", "id_b"]).filter(
-                pa.array(keep, type=pa.bool_()))
-
-        verified = _verify_join(pairs_ds, cand_sh, "doc_id", "shingles") \
-            .map_batches(check, batch_format="pyarrow", zero_copy_batch=True)
-        rows = sorted((r["id_a"], r["id_b"]) for r in verified.take_all())
-    else:
-        sh_map = {r["doc_id"]: set(r["shingles"]) for r in cand_sh.take_all()}
-        rows = [(a, b) for a, b in sorted(_collect_pairs(pairs_ds))
-                if _jaccard_ok(sh_map.get(a, set()), sh_map.get(b, set()))]
-    return pa.table({"doc_a": pa.array([a for a, _ in rows], type=pa.int64()),
-                     "doc_b": pa.array([b for _, b in rows], type=pa.int64())})
+    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
+                           columns=["doc_id", "text"])
+    return _verify_pairs(idx, docs, "doc_id", shingles, check,
+                         ["doc_a", "doc_b"])
 
 
-def jaccard_prefix_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3,
-                         verify: str = "auto"):
+def jaccard_prefix_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3):
     """EXACT all-pairs shingle-Jaccard ≥ threshold via prefix filtering
     (PPJoin-family, Chaudhuri et al. SSJoin / Xiao et al.) — the scale
     path with *exact* semantics: same output (and the same SQL oracle)
@@ -826,9 +684,8 @@ def jaccard_prefix_pairs(sf_dir: str, threshold: float = 0.5, k: int = 3,
     if postings.count() == 0:
         return pa.table({"doc_a": pa.array([], type=pa.int64()),
                          "doc_b": pa.array([], type=pa.int64())})
-    pairs_ds = _bucket_pairs(postings, ["sh_hash"], "doc_id",
-                             max_bucket=1 << 62).materialize()
-    return _jaccard_verify(pairs_ds, sf_dir, threshold, k, verify)
+    idx = _bucket_pairs(postings, ["sh_hash"], "doc_id", max_bucket=1 << 62)
+    return _jaccard_verify(idx, sf_dir, threshold, k)
 
 
 # --------------------------------------------------------------------------- simhash
@@ -866,7 +723,7 @@ def simhash_signatures(sf_dir: str):
 
 def hamming_lsh_pairs(sigs_ds, id_col: str, sig_col: str,
                       out_a: str, out_b: str, max_hamming: int = 3,
-                      max_bucket: int = 512, verify: str = "auto"):
+                      max_bucket: int = 512):
     """EXACT near-dup pairs with Hamming distance ≤ d over ANY 64-bit
     signature column (simhash of text, dHash of images, ...) via the
     pigeonhole trick: split the signature into d+1 chunks — any pair
@@ -905,65 +762,33 @@ def hamming_lsh_pairs(sigs_ds, id_col: str, sig_col: str,
                                           type=pa.int64())})
 
     chunks_ds = sigs_ds.map_batches(chunks_of, batch_format="pyarrow").materialize()
-    pairs_ds = _bucket_pairs(chunks_ds, ["chunk", "val"],
-                             id_col, max_bucket=max_bucket).materialize()
-    need = _distinct_ids(pairs_ds)
-    if not need.size:
-        return pa.table({out_a: pa.array([], type=pa.int64()),
-                         out_b: pa.array([], type=pa.int64()),
-                         "hamming": pa.array([], type=pa.int64())})
-    need_ref = ray.put(need)
+    idx = _bucket_pairs(chunks_ds, ["chunk", "val"], id_col,
+                        max_bucket=max_bucket)
 
-    def candidate_sigs(batch: pa.Table) -> pa.Table:
-        ids_np = batch.column(id_col).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(np.isin(ids_np, ray.get(need_ref))))
+    def check(batch: pa.Table) -> pa.Table:
+        a, b = (batch.column(c).to_numpy(zero_copy_only=False)
+                .astype(np.int64).view(np.uint64) for c in ("f_a", "f_b"))
+        # vectorized popcount: 8 bytes per uint64 → bits → row sum
+        d = np.unpackbits(np.bitwise_xor(a, b).view(np.uint8).reshape(-1, 8),
+                          axis=1).sum(axis=1).astype(np.int64)
+        keep = d <= max_hamming
+        return batch.select(["src", "dst"]).filter(pa.array(keep)) \
+                    .append_column("hamming", pa.array(d[keep]))
 
-    cand_sigs = sigs_ds.map_batches(candidate_sigs, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-
-    if _use_join_verify(verify, need.size):
-        def check(batch: pa.Table) -> pa.Table:
-            a = batch.column(f"{sig_col}_a").to_numpy(zero_copy_only=False) \
-                     .astype(np.int64).view(np.uint64)
-            b = batch.column(f"{sig_col}_b").to_numpy(zero_copy_only=False) \
-                     .astype(np.int64).view(np.uint64)
-            x = np.bitwise_xor(a, b)
-            # vectorized popcount: 8 bytes per uint64 → bits → row sum
-            d = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1) \
-                  .sum(axis=1).astype(np.int64)
-            keep = d <= max_hamming
-            out = batch.select(["id_a", "id_b"]).filter(pa.array(keep))
-            return out.append_column("hamming",
-                                     pa.array(d[keep], type=pa.int64()))
-
-        verified = _verify_join(pairs_ds, cand_sigs, id_col, sig_col) \
-            .map_batches(check, batch_format="pyarrow", zero_copy_batch=True)
-        rows = sorted((r["id_a"], r["id_b"], r["hamming"])
-                      for r in verified.take_all())
-    else:
-        sig_map = {r[id_col]: r[sig_col] & ((1 << 64) - 1)
-                   for r in cand_sigs.take_all()}
-        rows = []
-        for a, b in sorted(_collect_pairs(pairs_ds)):
-            d = int(bin(sig_map[a] ^ sig_map[b]).count("1"))
-            if d <= max_hamming:
-                rows.append((a, b, d))
-    return pa.table({out_a: pa.array([r[0] for r in rows], type=pa.int64()),
-                     out_b: pa.array([r[1] for r in rows], type=pa.int64()),
-                     "hamming": pa.array([r[2] for r in rows], type=pa.int64())})
+    return _verify_pairs(idx, sigs_ds, id_col, lambda b: b.column(sig_col),
+                         check, [out_a, out_b, "hamming"])
 
 
-def simhash_pairs(sf_dir: str, max_hamming: int = 3, max_bucket: int = 512,
-                  verify: str = "auto"):
+def simhash_pairs(sf_dir: str, max_hamming: int = 3, max_bucket: int = 512):
     """Near-dup pairs with Hamming distance ≤ d over the text simhash —
     the :func:`hamming_lsh_pairs` core with simhash signatures.
     Signatures are computed ONCE (doc_id + int64) and reused for the
-    chunk-bucket pipeline; only *candidate* signatures are collected to
-    the driver after bucketing."""
+    chunk-bucket pipeline; only *candidate* signatures enter
+    verification."""
     return hamming_lsh_pairs(simhash_signatures(sf_dir).materialize(),
                              "doc_id", "simhash", "doc_a", "doc_b",
                              max_hamming=max_hamming,
-                             max_bucket=max_bucket, verify=verify)
+                             max_bucket=max_bucket)
 
 
 # --------------------------------------------------------------------------- embedding cosine near-dup
@@ -1012,8 +837,7 @@ def _hyperplanes(dim: int, n_bits: int, seed: int = 99) -> np.ndarray:
 
 def embedding_lsh_pairs(embeddings_ds_or_sf, threshold: float = 0.9,
                         n_bits: int = 128, band_bits: int = 8,
-                        dim: int | None = None, max_bucket: int = 512,
-                        verify: str = "auto"):
+                        dim: int | None = None, max_bucket: int = 512):
     """Random-hyperplane LSH near-dup pairs over an embedding column —
     the cosine analogue of MinHash-LSH (the scale path next to the
     brute-force matmul of :func:`embedding_neardup_pairs`).
@@ -1040,63 +864,33 @@ def embedding_lsh_pairs(embeddings_ds_or_sf, threshold: float = 0.9,
         Hm = ray.get(H_ref)
         ids = col_vector(batch.column("vec_id"), np.int64)
         E = list_col_matrix(batch.column("embedding"))
-        bits = (E @ Hm) > 0                                   # [n, n_bits]
-        weights = (1 << np.arange(band_bits, dtype=np.int64))
-        band_ids, vals, dids = [], [], []
-        for bi in range(n_bands):
-            chunk = bits[:, bi * band_bits:(bi + 1) * band_bits]
-            v = chunk @ weights                               # [n]
-            band_ids.extend([bi] * len(ids))
-            vals.extend(int(x) for x in v)
-            dids.extend(int(i) for i in ids)
-        return pa.table({"band": pa.array(band_ids, type=pa.int32()),
-                         "val": pa.array(vals, type=pa.int64()),
-                         "vec_id": pa.array(dids, type=pa.int64())})
+        bits = (E @ Hm)[:, :n_bands * band_bits] > 0
+        weights = 1 << np.arange(band_bits, dtype=np.int64)
+        vals = bits.reshape(len(ids), n_bands, band_bits) @ weights
+        return pa.table({                                 # band-major rows
+            "band": pa.array(np.repeat(np.arange(n_bands, dtype=np.int32),
+                                       len(ids))),
+            "val": pa.array(vals.T.ravel()),
+            "vec_id": pa.array(np.tile(ids, n_bands))})
 
     bands_ds = ds.map_batches(to_bands, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
-    pairs_ds = _bucket_pairs(bands_ds, ["band", "val"],
-                             "vec_id", max_bucket=max_bucket).materialize()
-    need = _distinct_ids(pairs_ds)
-    if not need.size:
-        return pa.table({"vec_a": pa.array([], type=pa.int64()),
-                         "vec_b": pa.array([], type=pa.int64())})
-    need_ref = ray.put(need)
+    idx = _bucket_pairs(bands_ds, ["band", "val"], "vec_id",
+                        max_bucket=max_bucket)
 
-    def candidate_vecs(batch: pa.Table) -> pa.Table:
-        ids_np = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(np.isin(ids_np, ray.get(need_ref))))
+    def check(batch: pa.Table) -> pa.Table:
+        A, B = (list_col_matrix(batch.column(c)) for c in ("f_a", "f_b"))
+        if A.size == 0:
+            return batch.select(["src", "dst"])
+        na = np.linalg.norm(A, axis=1, keepdims=True)
+        nb = np.linalg.norm(B, axis=1, keepdims=True)
+        na[na == 0] = 1.0
+        nb[nb == 0] = 1.0
+        cos = np.einsum("ij,ij->i", A / na, B / nb)
+        return batch.select(["src", "dst"]).filter(pa.array(cos >= threshold))
 
-    cand_vecs = ds.map_batches(candidate_vecs, batch_format="pyarrow",
-                               zero_copy_batch=True)
-
-    if _use_join_verify(verify, need.size):
-        def check(batch: pa.Table) -> pa.Table:
-            A = list_col_matrix(batch.column("embedding_a"))
-            B = list_col_matrix(batch.column("embedding_b"))
-            if A.size == 0:
-                return batch.select(["id_a", "id_b"])
-            na = np.linalg.norm(A, axis=1, keepdims=True)
-            nb = np.linalg.norm(B, axis=1, keepdims=True)
-            na[na == 0] = 1.0
-            nb[nb == 0] = 1.0
-            cos = np.einsum("ij,ij->i", A / na, B / nb)
-            return batch.select(["id_a", "id_b"]).filter(
-                pa.array(cos >= threshold))
-
-        verified = _verify_join(pairs_ds, cand_vecs, "vec_id", "embedding") \
-            .map_batches(check, batch_format="pyarrow", zero_copy_batch=True)
-        rows = sorted((r["id_a"], r["id_b"]) for r in verified.take_all())
-    else:
-        vec = {}
-        for r in cand_vecs.take_all():
-            v = np.asarray(r["embedding"], dtype=np.float64)
-            n = np.linalg.norm(v)
-            vec[r["vec_id"]] = v / n if n > 0 else v
-        rows = [(a, b) for a, b in sorted(_collect_pairs(pairs_ds))
-                if float(vec[a] @ vec[b]) >= threshold]
-    return pa.table({"vec_a": pa.array([a for a, _ in rows], type=pa.int64()),
-                     "vec_b": pa.array([b for _, b in rows], type=pa.int64())})
+    return _verify_pairs(idx, ds, "vec_id", lambda b: b.column("embedding"),
+                         check, ["vec_a", "vec_b"])
 
 
 def dedup_lines(sf_dir: str):

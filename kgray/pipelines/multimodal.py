@@ -391,7 +391,7 @@ def image_dhash_signatures(sf_dir: str):
 
 
 def image_phash_pairs(sf_dir: str, max_hamming: int = 3,
-                      max_bucket: int = 512, verify: str = "auto"):
+                      max_bucket: int = 512):
     """EXACT image near-duplicate pairs (Hamming ≤ d over dHash): the
     pigeonhole chunk LSH guarantees candidate completeness, so this is
     a complete pair list, not an approximation — pinned by the
@@ -402,7 +402,7 @@ def image_phash_pairs(sf_dir: str, max_hamming: int = 3,
     sigs = image_dhash_signatures(sf_dir).materialize()
     return hamming_lsh_pairs(sigs, "doc_id", "dhash", "doc_a", "doc_b",
                              max_hamming=max_hamming,
-                             max_bucket=max_bucket, verify=verify)
+                             max_bucket=max_bucket)
 
 
 # ------------------------------------------------------------------
@@ -478,7 +478,7 @@ class AudioFingerprinter:
 
 
 def audio_fingerprint_pairs(sf_dir: str, max_hamming: int = 3,
-                            max_bucket: int = 512, verify: str = "auto"):
+                            max_bucket: int = 512):
     """EXACT audio near-duplicate pairs (Hamming ≤ d over the energy
     fingerprint) — complete by the pigeonhole candidate guarantee,
     pinned by the brute-force parity test.  Payload bytes never enter
@@ -492,7 +492,7 @@ def audio_fingerprint_pairs(sf_dir: str, max_hamming: int = 3,
                      num_cpus=1).materialize()
     return hamming_lsh_pairs(sigs, "doc_id", "afp", "doc_a", "doc_b",
                              max_hamming=max_hamming,
-                             max_bucket=max_bucket, verify=verify)
+                             max_bucket=max_bucket)
 
 
 # ------------------------------------------------------------------

@@ -192,8 +192,8 @@ def _pd_join(t: pa.Table, on: list, l_cols, r_cols, types, how: str) -> pa.Table
 def auto_join(left, right, on, how: str = "inner",
               broadcast_rows: int = 200_000, payload=None):
     """Adaptive join planning — the broadcast-vs-shuffle rule as a
-    first-class operator (the same class of decision `dedup._verify_join`
-    makes for LSH verification).
+    first-class operator (LSH bucket pairing and verification,
+    `dedup._bucket_pairs` / `dedup._verify_pairs`, join through it).
 
     Counts the right side (metadata-cheap for pure parquet reads); at
     or below ``broadcast_rows`` with a UNIQUE key the right side

@@ -17,6 +17,8 @@ or integer keys) ONCE:
 The passes are raw Ray tasks over the input's blocks; no sort exchange
 runs.  A dense graph of at most ``_BLOCK_EDGES`` edges is one block
 that the driver builds and sweeps itself, with no task at all.
+:meth:`EdgeIndex.edges` hands the distinct edges back as a Dataset of
+keys (``dedup._bucket_pairs`` deduplicates LSH candidate pairs so).
 :meth:`EdgeIndex.sweep` pushes a node vector (NumPy,
 one value per node, or one COLUMN per node set) along the edges:
 ``forward`` computes ``y[dst] = ⊕ x[src]``, ``reverse`` the transposed
@@ -108,6 +110,12 @@ def _transpose_block(block: pa.Table, n: int, n_parts: int):
 def _edge_block(n: int, *parts) -> pa.Table:
     si, di = np.divmod(np.unique(np.concatenate(parts)), n)
     return pa.table({"si": si, "di": di})
+
+
+def _keys(block: pa.Table, nodes: pa.Array) -> pa.Table:
+    """An edge block's ``(si, di)`` positions as ``(src, dst)`` keys."""
+    return pa.table({"src": nodes.take(block.column("si")),
+                     "dst": nodes.take(block.column("di"))})
 
 
 def _votes(to: np.ndarray, val: np.ndarray, cnt: np.ndarray):
@@ -259,6 +267,20 @@ class EdgeIndex:
             self._bounds = [j * n // n_parts for j in range(n_parts + 1)]
             self._blocks = self._exchange(_index_block, blocks,
                                           ray.put(self.nodes), n_parts)
+
+    def edges(self):
+        """The distinct edges as a Dataset of ``(src, dst)`` keys, one
+        block per pinned block, each sorted by ``(src, dst)``."""
+        import ray
+        import ray.data as rd
+
+        if self._local or not self._blocks:
+            empty = _edge_block(1, np.zeros(0, dtype=np.int64))
+            return rd.from_arrow([_keys(b, self.nodes)
+                                  for b in self._blocks or [empty]])
+        task, nodes = ray.remote(_keys), ray.put(self.nodes)
+        return rd.from_arrow_refs([task.remote(b, nodes)
+                                   for b in self._blocks])
 
     def _exchange(self, split, blocks, arg, k: int) -> list:
         """``k`` pinned edge blocks from ``split(block, arg, k)``'s

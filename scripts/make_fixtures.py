@@ -93,9 +93,15 @@ def main():
     only = [a for a in sys.argv[1:] if not a.startswith("--")]
 
     import ray
+    from kgray.raypatch import cancel_only_running_tasks
+
+    cancel_only_running_tasks()
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=16, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
+        ray.init(address="local",
+                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                             len(os.sched_getaffinity(0)))),
+                 include_dashboard=False, ignore_reinit_error=True,
+                 logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 

@@ -22,6 +22,9 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import ray  # noqa: E402
 
+from kgray.raypatch import cancel_only_running_tasks  # noqa: E402
+
+cancel_only_running_tasks()
 if not ray.is_initialized():
     ray.init(address="local",
              num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",

@@ -34,6 +34,9 @@ def main():
     import ray
     import ray.data as rd
 
+    from kgray.raypatch import cancel_only_running_tasks
+
+    cancel_only_running_tasks()
     ray.init(address="local",
              num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
                                          len(os.sched_getaffinity(0)))),

@@ -34,8 +34,14 @@ def _prep():
     if os.path.isdir(TRIPLES_DIR) and os.path.exists(
             os.path.join(TRIPLES_DIR, "_DONE")):
         return
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+    from kgray.raypatch import cancel_only_running_tasks
+
+    cancel_only_running_tasks()
+    ray.init(address="local",
+             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                         len(os.sched_getaffinity(0)))),
+             include_dashboard=False, ignore_reinit_error=True,
+             logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
     from kgray.pipelines.kg import kg_dataset, page_files

@@ -21,6 +21,9 @@ def test_bench_walk_order(ray_session):
     # exact cover of the registry minus the flagship set
     assert set(names) == registry - bench.FLAGSHIP
     assert len(names) == len(set(names))
+    # no stale name in the cost tiers or the window
+    for tier in (entry._HEAVY, entry._MEDIUM, entry._WINDOW):
+        assert set(tier) <= registry, set(tier) - registry
 
     # the first pass of the round-robin touches every family once
     fams = {meta[n]["family"] for n in names}

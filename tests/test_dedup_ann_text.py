@@ -8,6 +8,24 @@ import pytest
 SF = "/root/testdata/sf0.001"
 
 
+def _pairs(idx) -> set:
+    """The distinct candidate pairs of a ``dedup._bucket_pairs`` index."""
+    return {(r["src"], r["dst"]) for r in idx.edges().take_all()}
+
+
+def _one_plan_both_branches(monkeypatch, fn):
+    """``fn()`` with auto_join's broadcast branch (default limits) and
+    again with its sorted-merge branch (both broadcast limits 0)."""
+    from kgray.pipelines import dedup
+
+    broadcast = fn()
+    with monkeypatch.context() as m:
+        m.setattr(dedup, "_BUCKET_BROADCAST_MAX", 0)
+        m.setattr(dedup, "_VERIFY_BROADCAST_MAX", 0)
+        merged = fn()
+    return broadcast, merged
+
+
 def test_minhash_lsh_matches_bruteforce(ray_session):
     """LSH candidates + exact verify must recover the brute-force pair
     set at threshold 0.5 (planted near-dups have J≈0.99 → the 32-band
@@ -229,7 +247,7 @@ def test_bucket_pairs_cap_boundary(ray_session):
     import itertools
     import pyarrow as pa
     import ray.data as rd
-    from kgray.pipelines.dedup import _bucket_pairs, _collect_pairs
+    from kgray.pipelines.dedup import _bucket_pairs
 
     # one 5-member bucket (<= cap: full pairing), one 30-member (> cap: star)
     rows_b = [0] * 5 + [1] * 30 + list(range(2, 40))
@@ -238,21 +256,22 @@ def test_bucket_pairs_cap_boundary(ray_session):
                                  "val": pa.array(rows_b, type=pa.int64()),
                                  "vec_id": pa.array(rows_id, type=pa.int64())})
                        ).repartition(6)
-    got = _collect_pairs(_bucket_pairs(ds, ["band", "val"], "vec_id", max_bucket=8))
+    got = _pairs(_bucket_pairs(ds, ["band", "val"], "vec_id", max_bucket=8))
     full = set(itertools.combinations(range(100, 105), 2))
     star = {(200, i) for i in range(201, 230)}
     assert got == full | star
 
 
-def test_bucket_pairs_joined_plan_matches_broadcast(ray_session):
-    """The >broadcast_max distributed-join plan (rows ⋈ sizes on the
-    mixed key, no driver bucket-key collection — r3 VERDICT #2) emits
-    exactly the broadcast plan's pairs: full pairing at or below
+def test_bucket_pairs_joined_plan_matches_broadcast(ray_session, monkeypatch):
+    """Bucket pairing's rows ⋈ sizes join on the mixed key gives the
+    same pairs on auto_join's broadcast branch and on its sorted-merge
+    branch (the one past ``_BUCKET_BROADCAST_MAX`` bucket keys, where no
+    bucket key reaches the driver): full pairing at or below
     max_bucket, min-id star above it."""
     import itertools
     import pyarrow as pa
     import ray.data as rd
-    from kgray.pipelines.dedup import _bucket_pairs, _collect_pairs
+    from kgray.pipelines.dedup import _bucket_pairs
 
     rows_b = [0] * 5 + [1] * 30 + [2] * 7 + list(range(3, 40))
     rows_id = (list(range(100, 105)) + list(range(200, 230))
@@ -261,16 +280,47 @@ def test_bucket_pairs_joined_plan_matches_broadcast(ray_session):
                                  "val": pa.array(rows_b, type=pa.int64()),
                                  "vec_id": pa.array(rows_id, type=pa.int64())})
                        ).repartition(6)
-    broadcast = _collect_pairs(
-        _bucket_pairs(ds, ["band", "val"], "vec_id", max_bucket=8))
-    joined = _collect_pairs(
-        _bucket_pairs(ds, ["band", "val"], "vec_id", max_bucket=8,
-                      broadcast_max=0))           # force the join plan
+    broadcast, joined = _one_plan_both_branches(monkeypatch, lambda: _pairs(
+        _bucket_pairs(ds, ["band", "val"], "vec_id", max_bucket=8)))
     expected = (set(itertools.combinations(range(100, 105), 2))
                 | set(itertools.combinations(range(400, 407), 2))
                 | {(200, i) for i in range(201, 230)})
     assert broadcast == expected
     assert joined == expected
+
+
+def test_bucket_pairs_dedup_raw_task_blocks(ray_session, monkeypatch):
+    """Pairs emitted in several bands collapse to one in the EdgeIndex:
+    its raw-task path (many pinned blocks) returns exactly the distinct
+    pairs of its driver-held path."""
+    import itertools
+    import pyarrow as pa
+    import ray.data as rd
+    from kgray.pipelines.dedup import _bucket_pairs
+    from kgray.stages import propagate
+
+    band, val, vid = [], [], []
+    for b in range(4):                  # the same 6-member buckets per band
+        for g in range(12):
+            for i in range(6):
+                band.append(b)
+                val.append(g if b % 2 else g * 7 + b)
+                vid.append(g * 10 + i)
+    ds = rd.from_arrow(pa.table({"band": pa.array(band, type=pa.int32()),
+                                 "val": pa.array(val, type=pa.int64()),
+                                 "vec_id": pa.array(vid, type=pa.int64())})
+                       ).repartition(5)
+    expected = {p for g in range(12)
+                for p in itertools.combinations(range(g * 10, g * 10 + 6), 2)}
+
+    def rows(idx) -> list:
+        return sorted((r["src"], r["dst"]) for r in idx.edges().take_all())
+
+    local = _bucket_pairs(ds, ["band", "val"], "vec_id")
+    monkeypatch.setattr(propagate, "_BLOCK_EDGES", 64)
+    tasks = _bucket_pairs(ds, ["band", "val"], "vec_id")
+    assert tasks.edges().num_blocks() > 1
+    assert rows(tasks) == rows(local) == sorted(expected)
 
 
 def test_ivf_partition_pruning(ray_session, tmp_path):
@@ -294,19 +344,18 @@ def test_ivf_partition_pruning(ray_session, tmp_path):
     assert set(got["query_id"].unique()) and (got["rank"] >= 1).all()
 
 
-def test_verify_plans_identical(ray_session):
-    """The size-selected verification plans (driver broadcast map vs
-    distributed hash join) must be pair-for-pair identical — the plan
-    switch may change runtime, never results."""
+def test_verify_plans_identical(ray_session, monkeypatch):
+    """Verification returns pair-for-pair the same table on auto_join's
+    broadcast branch and on its sorted-merge branch — the join plan may
+    change runtime, never results."""
     from kgray.pipelines import dedup
 
     for fn in (dedup.minhash_lsh_pairs, dedup.simhash_pairs):
-        d = fn(SF, verify="driver")
-        j = fn(SF, verify="join")
+        d, j = _one_plan_both_branches(monkeypatch, lambda: fn(SF))
         assert d.num_rows > 0
         assert d.equals(j)
-    d = dedup.embedding_lsh_pairs(SF, threshold=0.5, verify="driver")
-    j = dedup.embedding_lsh_pairs(SF, threshold=0.5, verify="join")
+    d, j = _one_plan_both_branches(
+        monkeypatch, lambda: dedup.embedding_lsh_pairs(SF, threshold=0.5))
     assert d.equals(j)
 
 
@@ -700,13 +749,13 @@ def test_jaccard_prefix_matches_bruteforce(ray_session):
     assert dedup.jaccard_pairs_bruteforce(SF, threshold=0.5).num_rows > 0
 
 
-def test_jaccard_prefix_join_verify_plan(ray_session):
-    """Forced hash-join verification returns the same pairs as the
-    driver-map plan through the new prefix caller."""
+def test_jaccard_prefix_join_verify_plan(ray_session, monkeypatch):
+    """The prefix caller returns the same pairs on auto_join's
+    broadcast and sorted-merge branches."""
     from kgray.pipelines import dedup
 
-    d = dedup.jaccard_prefix_pairs(SF, threshold=0.5, verify="driver")
-    j = dedup.jaccard_prefix_pairs(SF, threshold=0.5, verify="join")
+    d, j = _one_plan_both_branches(
+        monkeypatch, lambda: dedup.jaccard_prefix_pairs(SF, threshold=0.5))
     assert d.equals(j)
 
 
