@@ -309,7 +309,6 @@ _FAMILY_OVERRIDES = {
     "kg_lineage_report": "graph", "copurchase_kcore": "graph",
     # embeddings / ANN / clustering
     "kg_transe_embeddings": "kgemb", "kg_link_prediction": "kgemb",
-    "embedding_mmr_topk": "ann", "ann_topk_with_deletes": "ann",
     "embedding_lsh_pairs": "ann",
     "embedding_dbscan": "cluster", "neardup_keep_best": "cluster",
     # dedup / ER / text-model
@@ -652,9 +651,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_hourly_ewma": relational.events_hourly_ewma,
         "part_revenue_abc": relational.part_revenue_abc,
         "orderkey_gaps": relational.orderkey_gaps,
-        "embedding_mmr_topk": lambda sf: __import__(
-            "kgray.pipelines.ann", fromlist=["embedding_mmr_topk"]
-        ).embedding_mmr_topk(sf),
+        "embedding_mmr_topk": ann.embedding_mmr_topk,
         "user_ctr_shrunk": relational.user_ctr_shrunk,
         "session_bounce_rates": relational.session_bounce_rates,
         "order_ship_lag_quantiles": relational.order_ship_lag_quantiles,
@@ -663,9 +660,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "region_revenue_rollup": relational.region_revenue_rollup,
         "purchase_position_attribution":
             relational.purchase_position_attribution,
-        "ann_topk_with_deletes": lambda sf: __import__(
-            "kgray.pipelines.ann", fromlist=["ann_topk_with_deletes"]
-        ).ann_topk_with_deletes(sf),
+        "ann_topk_with_deletes": ann.ann_topk_with_deletes,
         "event_sequence_patterns": relational.event_sequence_patterns,
         "session_top_paths": relational.session_top_paths,
         "part_supplier_hhi": relational.part_supplier_hhi,

@@ -170,10 +170,8 @@ def main(argv=None):
         res = registry[args.name](args.sf_dir)
         import pyarrow as pa
         if hasattr(res, "to_arrow_refs"):            # Dataset
-            import ray
-            tabs = [t for t in ray.get(res.to_arrow_refs()) if t.num_rows]
-            tbl = (pa.concat_tables(tabs, promote_options="permissive")
-                   if tabs else res.schema().base_schema.empty_table())
+            from .stages.topk import to_table
+            tbl = to_table(res)
         elif isinstance(res, pa.Table):
             tbl = res
         else:                                        # pandas

@@ -1,26 +1,43 @@
 """Similarity search over an embedding column (``list<float>``).
 
-* :func:`ann_topk_bruteforce` — exact cosine top-k: the query matrix is
-  broadcast once (``ray.put``), each batch does one numpy matmul and
-  emits its batch-local top-k per query; a final small groupby merges.
-  No pairwise shuffle; scales linearly in corpus size.
+Every exact retrieval path is one plan, :func:`stages.topk.scored_topk`:
+the query side is broadcast once (``ray.put``), each corpus batch is
+scored as one ``[queries × batch]`` matrix, :func:`stages.topk.row_topk`
+keeps each query's batch-local top-k (self excluded, ties by ascending
+id) and one result-sized driver merge ranks the survivors.  No pairwise
+shuffle; scales linearly in corpus size.  The paths differ
+only in their score callback:
+
+* :func:`ann_topk_bruteforce` — cosine over every row;
+  :func:`ann_topk_with_deletes` masks tombstoned rows out of the batch,
+  :func:`embedding_truncation_recall` scores prefix-truncated vectors
+  and :func:`embedding_mmr_topk` carries each hit's vector into its
+  driver-side greedy selection.
 * :func:`ann_ivf_topk` — IVF-style scale path: deterministic k-means
   coarse centroids (driver-side, seeded, few iters over a sample), rows
   partitioned by nearest centroid, queries probe only ``n_probe``
-  partitions.  Recall vs brute force is asserted in tests.
+  partitions; cells of unprobed (query, cluster) pairs are masked.
+* :func:`ann_pq_topk` — PQ asymmetric-distance shortlist per batch,
+  exact integer rerank of the shortlisted cells.
+* :func:`knn_label_predictions` runs the same kernel with each batch as
+  the query side; ``text.bm25_search`` scores its three queries in one
+  scan.
+
+:func:`ann_hnsw_topk` walks its NSW graph instead and never scans.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
 from ..functions.veccol import (col_vector, list_col_matrix,
                                  matrix_to_list_col)
+from ..stages.topk import row_topk, scored_topk
 
 __all__ = ["load_embeddings", "ann_topk_bruteforce", "ann_ivf_topk",
            "train_pq_codebook", "pq_codes", "ann_pq_topk",
@@ -79,9 +96,12 @@ def _query_rows(sf_dir: str, n_queries: int):
     return ids[order], E[order]
 
 
-def _query_matrix(sf_dir: str, n_queries: int):
-    q_ids, E = _query_rows(sf_dir, n_queries)
-    return q_ids, _normalize(E)
+def _query_matrix(sf_dir: str, n_queries: int, queries=None):
+    """(query ids, normalized query rows) of the explicit ``queries=
+    (q_ids, raw_vectors)`` input, else of the sf_dir adapter."""
+    q_ids, E = queries if queries is not None else \
+        _query_rows(sf_dir, n_queries)
+    return q_ids, _normalize(np.asarray(E, dtype=np.float64))
 
 
 def ann_topk_bruteforce(sf_dir: str, k: int = 10, n_queries: int = 5,
@@ -91,45 +111,33 @@ def ann_topk_bruteforce(sf_dir: str, k: int = 10, n_queries: int = 5,
     the production input: an explicit ``(q_ids, raw_vectors)`` pair;
     when None the test-scale sf_dir adapter picks the ``n_queries``
     smallest-id rows via a bounded streaming scan."""
-    if queries is not None:
-        q_ids, Q = queries[0], _normalize(np.asarray(queries[1], dtype=np.float64))
-    else:
-        q_ids, Q = _query_matrix(sf_dir, n_queries)
+    q_ids, Q = _query_matrix(sf_dir, n_queries, queries)
+    return _cosine_topk(sf_dir, q_ids, Q, k).drop_columns(["cos"])
+
+
+def _cosine_topk(sf_dir: str, q_ids, Q: np.ndarray, k: int, width=None,
+                 live=None, vectors: bool = False):
+    """(query_id, rank, neighbor_id[, vec], cos): exact cosine top-k of
+    the normalized query rows ``Q`` over the corpus.  ``width`` scores
+    the first ``width`` dimensions only; ``live(ids)`` masks rows out
+    of the search; ``vectors`` carries each hit's normalized vector."""
     q_ref = ray.put((q_ids, Q))
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids, Qm = ray.get(q_ref)
-        bids = col_vector(batch.column("vec_id"), np.int64)
-        B = _normalize(list_col_matrix(batch.column("embedding")))
-        C = Qm @ B.T                                   # [nq, batch]
-        out_q, out_n, out_c = [], [], []
-        kk = min(k + 1, C.shape[1])                    # +1 in case self is here
-        for qi in range(C.shape[0]):
-            scores = C[qi]
-            # deterministic order: score desc, id asc
-            idx = np.lexsort((bids, -scores))[:kk]
-            for j in idx:
-                if bids[j] == qids[qi]:
-                    continue
-                out_q.append(int(qids[qi]))
-                out_n.append(int(bids[j]))
-                out_c.append(float(scores[j]))
-        return pa.table({"query_id": pa.array(out_q, type=pa.int64()),
-                         "neighbor_id": pa.array(out_n, type=pa.int64()),
-                         "cos": pa.array(out_c, type=pa.float64())})
+        cand = pa.table({"neighbor_id": batch.column("vec_id")})
+        X = list_col_matrix(batch.column("embedding"))[:, :width]
+        if live is not None:
+            keep = live(col_vector(batch.column("vec_id"), np.int64))
+            cand, X = cand.filter(keep), X[keep]
+        B = _normalize(X)
+        if vectors:
+            cand = cand.append_column("vec", matrix_to_list_col(B))
+        return qids, cand, Qm @ B.T, None
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(k)
-        df = df.reset_index(drop=True)
-        return pd.DataFrame({"query_id": df["query_id"],
-                             "rank": np.arange(1, len(df) + 1, dtype=np.int64),
-                             "neighbor_id": df["neighbor_id"]})
-
-    return (rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-            .map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("query_id")
-            .map_groups(merge, batch_format="pandas"))
+    return scored_topk(rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                                       columns=["vec_id", "embedding"]),
+                       score, k, "cos")
 
 
 def _kmeans(E: np.ndarray, n_clusters: int, iters: int = 10, seed: int = 7):
@@ -197,9 +205,15 @@ def build_ivf_index(sf_dir: str, index_dir: str, n_clusters: int = 16,
 
 
 def _ivf_index_dir(sf_dir: str, n_clusters: int) -> str:
+    """Cache dir of the IVF index, keyed on the corpus file's path,
+    size and mtime (a rewritten file gets a fresh index) and
+    ``n_clusters``."""
     import hashlib as _hl
     import os
-    tag = _hl.md5(f"{os.path.abspath(sf_dir)}|{n_clusters}".encode()).hexdigest()[:12]
+    path = os.path.abspath(f"{sf_dir}/embeddings.parquet")
+    st = os.stat(path)
+    tag = _hl.md5(f"{path}|{st.st_size}|{st.st_mtime_ns}|{n_clusters}"
+                  .encode()).hexdigest()[:12]
     return f"/tmp/kgray_ivf/{tag}"
 
 
@@ -208,17 +222,12 @@ def ivf_probe_plan(sf_dir: str, index_dir: str, C: np.ndarray,
     """(query ids, normalized queries, probed partition paths,
     cluster → query-row map) — the paths are the I/O-pruned scan set.
     ``queries``: explicit ``(q_ids, raw_vectors)`` production input."""
-    import os
-    if queries is not None:
-        q_ids, Q = queries[0], _normalize(np.asarray(queries[1], dtype=np.float64))
-    else:
-        q_ids, Q = _query_matrix(sf_dir, n_queries)
-    probes = np.argsort(-(Q @ C.T), axis=1)[:, :n_probe]          # [nq, n_probe]
-    wanted: dict = {}                                              # cluster -> [query rows]
-    for qi in range(len(q_ids)):
-        for c in probes[qi]:
-            wanted.setdefault(int(c), []).append(qi)
     import glob as _glob
+    import os
+    q_ids, Q = _query_matrix(sf_dir, n_queries, queries)
+    probes = np.argsort(-(Q @ C.T), axis=1)[:, :n_probe]          # [nq, n_probe]
+    wanted = {int(c): np.flatnonzero((probes == c).any(axis=1)).tolist()
+              for c in np.unique(probes)}           # cluster -> [query rows]
     # file-level paths: ray read_parquet accepts one dir but not a list
     # of dirs, and file paths keep the scan set explicit
     paths = [f for c in sorted(wanted)
@@ -232,8 +241,8 @@ def ann_ivf_topk(sf_dir: str, k: int = 10, n_queries: int = 5,
                  index_dir: str | None = None, queries=None):
     """IVF top-k over the cluster-partitioned layout: queries read ONLY
     their ``n_probe`` nearest partitions (pruned at the parquet paths,
-    not filtered post-read).  The index is built once per (sf_dir,
-    n_clusters) and cached under /tmp."""
+    not filtered post-read).  The index is built once per embeddings
+    file (path, size, mtime) and ``n_clusters`` and cached under /tmp."""
     import os
 
     if index_dir is None:
@@ -247,44 +256,25 @@ def ann_ivf_topk(sf_dir: str, k: int = 10, n_queries: int = 5,
                                              queries=queries)
     ref = ray.put((q_ids, Q, wanted))
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids, Qm, want = ray.get(ref)
-        bids = col_vector(batch.column("vec_id"), np.int64)
         B = _normalize(list_col_matrix(batch.column("embedding")))
         assign = col_vector(batch.column("cl"), np.int64)
-        out_q, out_n, out_c = [], [], []
+        S = np.zeros((len(qids), batch.num_rows))
+        probed = np.zeros(S.shape, dtype=bool)
         for c in np.unique(assign):
             q_rows = want.get(int(c))
             if not q_rows:
                 continue
-            mask = assign == c
-            sub_ids = bids[mask]
-            sub = B[mask]
-            scores = Qm[q_rows] @ sub.T                            # [nq_sub, m]
-            kk = min(k + 1, scores.shape[1])
-            for row, qi in enumerate(q_rows):
-                idx = np.lexsort((sub_ids, -scores[row]))[:kk]
-                for j in idx:
-                    if sub_ids[j] == qids[qi]:
-                        continue
-                    out_q.append(int(qids[qi]))
-                    out_n.append(int(sub_ids[j]))
-                    out_c.append(float(scores[row, j]))
-        return pa.table({"query_id": pa.array(out_q, type=pa.int64()),
-                         "neighbor_id": pa.array(out_n, type=pa.int64()),
-                         "cos": pa.array(out_c, type=pa.float64())})
+            cols = np.flatnonzero(assign == c)
+            S[np.ix_(q_rows, cols)] = Qm[q_rows] @ B[cols].T
+            probed[np.ix_(q_rows, cols)] = True
+        return (qids, pa.table({"neighbor_id": batch.column("vec_id")}),
+                S, probed)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(k)
-        df = df.reset_index(drop=True)
-        return pd.DataFrame({"query_id": df["query_id"],
-                             "rank": np.arange(1, len(df) + 1, dtype=np.int64),
-                             "neighbor_id": df["neighbor_id"]})
-
-    return (rd.read_parquet(paths, columns=["vec_id", "embedding", "cl"])
-            .map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("query_id")
-            .map_groups(merge, batch_format="pandas"))
+    return scored_topk(rd.read_parquet(paths,
+                                       columns=["vec_id", "embedding", "cl"]),
+                       score, k, "cos").drop_columns(["cos"])
 
 
 _KM_SCALE = 1 << 20          # fixed-point quantization for exact sums
@@ -577,64 +567,34 @@ def ann_pq_topk(sf_dir: str, k: int = 10, n_queries: int = 5,
     brute force is pinned by the companion test.
     """
     books = train_pq_codebook(sf_dir, m=m, n_centroids=n_centroids)
-    if queries is not None:
-        q_ids, Eq = queries
-    else:
-        q_ids, Eq = _query_rows(sf_dir, n_queries)
+    q_ids, Eq = queries if queries is not None else \
+        _query_rows(sf_dir, n_queries)
     Qq = _pq_quantize(Eq)
-    sd = books.shape[2]
+    Qs = Qq.reshape(len(q_ids), *books.shape[::2])        # [nq, m, dim/m]
     # LUT[q, j, c] = ||Q_sub - C_c||^2, exact int64
-    nq = len(q_ids)
-    lut = np.empty((nq, books.shape[0], n_centroids), dtype=np.int64)
-    for j in range(books.shape[0]):
-        Xs = Qq[:, j * sd:(j + 1) * sd]
-        C = books[j]
-        lut[:, j, :] = ((Xs * Xs).sum(axis=1)[:, None]
-                        + (C * C).sum(axis=1)[None, :] - 2 * (Xs @ C.T))
-    ref = ray.put((q_ids, lut, books))
+    lut = ((Qs * Qs).sum(axis=2)[:, :, None] + (books * books).sum(axis=2)
+           - 2 * np.einsum("qjd,jcd->qjc", Qs, books))
+    ref = ray.put((q_ids, lut, books, Qq))
 
-    q_ref = ray.put(Qq)
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qids, L, bk = ray.get(ref)
-        Qm = ray.get(q_ref)
+    def score(batch: pa.Table):
+        qids, L, bk, Qm = ray.get(ref)
         bids = col_vector(batch.column("vec_id"), np.int64)
         Xq = _pq_quantize(list_col_matrix(batch.column("embedding")))
         codes = _pq_encode(Xq, bk)
-        out_q, out_n, out_d = [], [], []
-        short = min(rerank_mult * k + 1, len(bids))
-        cols = np.arange(codes.shape[1])
-        for qi in range(L.shape[0]):
-            adc = L[qi][cols, codes].sum(axis=1)          # [batch] int64
-            idx = np.lexsort((bids, adc))[:short]         # ADC shortlist
-            diff = Xq[idx] - Qm[qi][None, :]
-            exact = (diff * diff).sum(axis=1)             # int64 exact
-            keep = np.lexsort((bids[idx], exact))[:min(k + 1, short)]
-            for j in keep:
-                if bids[idx[j]] == qids[qi]:
-                    continue
-                out_q.append(int(qids[qi]))
-                out_n.append(int(bids[idx[j]]))
-                out_d.append(int(exact[j]))
-        return pa.table({"query_id": pa.array(out_q, type=pa.int64()),
-                         "neighbor_id": pa.array(out_n, type=pa.int64()),
-                         "dist": pa.array(out_d, type=pa.int64())})
+        adc = L[:, np.arange(codes.shape[1]), codes].sum(axis=2)  # [nq, batch]
+        rows, cols = row_topk(adc, bids, rerank_mult * k + 1,
+                              descending=False)         # ADC shortlist
+        diff = Xq[cols] - Qm[rows]
+        D = np.zeros(adc.shape, dtype=np.int64)
+        D[rows, cols] = (diff * diff).sum(axis=1)       # int64 exact
+        short = np.zeros(adc.shape, dtype=bool)
+        short[rows, cols] = True
+        return (qids, pa.table({"neighbor_id": batch.column("vec_id")}),
+                D, short)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["dist", "neighbor_id"],
-                            ascending=[True, True]).head(k)
-        df = df.reset_index(drop=True)
-        return pd.DataFrame({"query_id": df["query_id"],
-                             "rank": np.arange(1, len(df) + 1, dtype=np.int64),
-                             "neighbor_id": df["neighbor_id"],
-                             "dist": df["dist"]})
-
-    return (rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-            .map_batches(local_topk, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("query_id")
-            .map_groups(merge, batch_format="pandas"))
+    return scored_topk(rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                                       columns=["vec_id", "embedding"]),
+                       score, k, "dist", descending=False)
 
 
 # --------------------------------------------------------------------------
@@ -920,29 +880,24 @@ def knn_label_predictions(sf_dir: str, k: int = 5):
     tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
                         columns=["vec_id", "embedding", "label"])
     all_ids = col_vector(tbl["vec_id"], np.int64)
-    all_labels = col_vector(tbl["label"], np.int64)
+    labels, lab_idx = np.unique(col_vector(tbl["label"], np.int64),
+                                return_inverse=True)
     Mn = _normalize(list_col_matrix(tbl["embedding"]))
-    ref = ray.put((all_ids, all_labels, Mn))
+    ref = ray.put((all_ids, labels, lab_idx, Mn))
 
     def classify(batch: pa.Table) -> pa.Table:
-        ids_all, labs_all, M = ray.get(ref)
+        ids_all, labs, lab_of, M = ray.get(ref)
         bids = col_vector(batch.column("vec_id"), np.int64)
         B = _normalize(list_col_matrix(batch.column("embedding")))
-        C = B @ M.T                                     # [batch, n]
-        out_id, out_lab, out_votes = [], [], []
-        for i in range(C.shape[0]):
-            scores = C[i]
-            order = np.lexsort((ids_all, -scores))
-            picked = [j for j in order[:k + 1] if ids_all[j] != bids[i]][:k]
-            labs = labs_all[picked]
-            uniq, cnt = np.unique(labs, return_counts=True)
-            best = uniq[np.argmax(cnt)]      # first max = smallest label
-            out_id.append(int(bids[i]))
-            out_lab.append(int(best))
-            out_votes.append(int(cnt.max()))
-        return pa.table({"vec_id": pa.array(out_id, type=pa.int64()),
-                         "pred_label": pa.array(out_lab, type=pa.int64()),
-                         "n_votes": pa.array(out_votes, type=pa.int64())})
+        rows, cols = row_topk(B @ M.T, ids_all, k, q_ids=bids)
+        votes = np.bincount(rows * len(labs) + lab_of[cols],
+                            minlength=len(bids) * len(labs)) \
+            .reshape(len(bids), len(labs))
+        best = np.argmax(votes, axis=1)      # first max = smallest label
+        return pa.table({"vec_id": pa.array(bids, type=pa.int64()),
+                         "pred_label": pa.array(labs[best], type=pa.int64()),
+                         "n_votes": pa.array(votes.max(axis=1),
+                                             type=pa.int64())})
 
     return rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                            columns=["vec_id", "embedding"]) \
@@ -963,59 +918,23 @@ def embedding_truncation_recall(sf_dir: str, dims=(8, 16, 32), k: int = 10,
     recall) with dim = 0 meaning the full dimension (sanity row —
     recall exactly 1.0, pinned by test)."""
     q_ids, Q_raw = _query_matrix(sf_dir, n_queries)
-    full_dim = Q_raw.shape[1]
 
-    def topk_ids(trunc: int) -> dict:
-        """Streaming top-k at a truncation width: queries broadcast,
-        corpus batches truncate + matmul + local top-k, driver merges
-        k·n_blocks survivor rows (the ann_topk_bruteforce plan)."""
-        q_ref = ray.put((q_ids, _normalize(Q_raw[:, :trunc])))
+    def topk_ids(trunc) -> pa.Table:
+        """(query_id, neighbor_id): the top-k at a truncation width
+        (the ann_topk_bruteforce plan over the first ``trunc`` dims)."""
+        return _cosine_topk(sf_dir, q_ids, _normalize(Q_raw[:, :trunc]), k,
+                            width=trunc).select(["query_id", "neighbor_id"])
 
-        def local_topk(batch: pa.Table) -> pa.Table:
-            qids, Qm = ray.get(q_ref)
-            bids = col_vector(batch.column("vec_id"), np.int64)
-            B = _normalize(list_col_matrix(
-                batch.column("embedding"))[:, :trunc])
-            C = Qm @ B.T
-            out_q, out_n, out_c = [], [], []
-            kk = min(k + 1, C.shape[1])
-            for qi in range(C.shape[0]):
-                idx = np.lexsort((bids, -C[qi]))[:kk]
-                for j in idx:
-                    if bids[j] == qids[qi]:
-                        continue
-                    out_q.append(int(qids[qi]))
-                    out_n.append(int(bids[j]))
-                    out_c.append(float(C[qi][j]))
-            return pa.table({
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "neighbor_id": pa.array(out_n, type=pa.int64()),
-                "cos": pa.array(out_c, type=pa.float64())})
-
-        surv = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"]) \
-            .map_batches(local_topk, batch_format="pyarrow",
-                         zero_copy_batch=True).to_pandas()
-        out = {}
-        for q, grp in surv.groupby("query_id"):
-            g = grp.sort_values(["cos", "neighbor_id"],
-                                ascending=[False, True]).head(k)
-            out[int(q)] = g["neighbor_id"].tolist()
-        return out
-
-    truth = topk_ids(full_dim)
-    rows = []
-    for d in (0, *dims):
-        got = topk_ids(full_dim if d == 0 else d)
-        overlap = sum(len(set(truth[q]) & set(got[q])) for q in truth)
-        n_pairs = k * len(truth)
-        rows.append((d, overlap, n_pairs,
-                     float(overlap) / float(n_pairs)))
-    return pa.table({
-        "dim": pa.array([r[0] for r in rows], type=pa.int64()),
-        "sum_overlap": pa.array([r[1] for r in rows], type=pa.int64()),
-        "n_pairs": pa.array([r[2] for r in rows], type=pa.int64()),
-        "recall": pa.array([r[3] for r in rows], type=pa.float64())})
+    truth = topk_ids(None)
+    n_pairs = k * len(pc.unique(truth.column("query_id")))
+    dims = np.array((0, *dims), dtype=np.int64)
+    overlap = np.array([
+        truth.join(truth if d == 0 else topk_ids(int(d)),
+                   ["query_id", "neighbor_id"], join_type="inner").num_rows
+        for d in dims], dtype=np.int64)
+    return pa.table({"dim": dims, "sum_overlap": overlap,
+                     "n_pairs": np.full(len(dims), n_pairs, dtype=np.int64),
+                     "recall": overlap / float(n_pairs)})
 
 
 def ann_topk_with_deletes(sf_dir: str, k: int = 10, n_queries: int = 5,
@@ -1030,50 +949,10 @@ def ann_topk_with_deletes(sf_dir: str, k: int = 10, n_queries: int = 5,
     from ..functions.sampling import _md5_bucket
 
     q_ids, Q = _query_matrix(sf_dir, n_queries)
-    q_ref = ray.put((q_ids, Q))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qids, Qm = ray.get(q_ref)
-        bids = col_vector(batch.column("vec_id"), np.int64)
-        live = _md5_bucket(bids.tolist(), delete_mod) != 0
-        if not live.any():
-            return pa.table({
-                "query_id": pa.array([], type=pa.int64()),
-                "neighbor_id": pa.array([], type=pa.int64()),
-                "cos": pa.array([], type=pa.float64())})
-        bids = bids[live]
-        B = _normalize(list_col_matrix(batch.column("embedding"))[live])
-        C = Qm @ B.T
-        out_q, out_n, out_c = [], [], []
-        kk = min(k + 1, C.shape[1])
-        for qi in range(C.shape[0]):
-            scores = C[qi]
-            idx = np.lexsort((bids, -scores))[:kk]
-            for j in idx:
-                if bids[j] == qids[qi]:
-                    continue
-                out_q.append(int(qids[qi]))
-                out_n.append(int(bids[j]))
-                out_c.append(float(scores[j]))
-        return pa.table({"query_id": pa.array(out_q, type=pa.int64()),
-                         "neighbor_id": pa.array(out_n, type=pa.int64()),
-                         "cos": pa.array(out_c, type=pa.float64())})
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["cos", "neighbor_id"],
-                            ascending=[False, True]).head(k)
-        df = df.reset_index(drop=True)
-        return pd.DataFrame({
-            "query_id": df["query_id"],
-            "rank": np.arange(1, len(df) + 1, dtype=np.int64),
-            "neighbor_id": df["neighbor_id"]})
-
-    return (rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-            .map_batches(local_topk, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("query_id")
-            .map_groups(merge, batch_format="pandas"))
+    return _cosine_topk(
+        sf_dir, q_ids, Q, k,
+        live=lambda ids: _md5_bucket(ids.tolist(), delete_mod) != 0,
+    ).drop_columns(["cos"])
 
 
 def embedding_mmr_topk(sf_dir: str, k: int = 5, shortlist: int = 50,
@@ -1089,64 +968,29 @@ def embedding_mmr_topk(sf_dir: str, k: int = 5, shortlist: int = 50,
     products every partitioning computes, fixture-pinned like the
     other ANN paths."""
     q_ids, Q = _query_matrix(sf_dir, n_queries)
-    q_ref = ray.put((q_ids, Q))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qids, Qm = ray.get(q_ref)
-        bids = col_vector(batch.column("vec_id"), np.int64)
-        B = _normalize(list_col_matrix(batch.column("embedding")))
-        C = Qm @ B.T
-        out_q, out_n, out_c, out_v = [], [], [], []
-        kk = min(shortlist + 1, C.shape[1])
-        for qi in range(C.shape[0]):
-            idx = np.lexsort((bids, -C[qi]))[:kk]
-            for j in idx:
-                if bids[j] == qids[qi]:
-                    continue
-                out_q.append(int(qids[qi]))
-                out_n.append(int(bids[j]))
-                out_c.append(float(C[qi, j]))
-                out_v.append(B[j].astype(np.float64))
-        return pa.table({
-            "query_id": pa.array(out_q, type=pa.int64()),
-            "neighbor_id": pa.array(out_n, type=pa.int64()),
-            "cos": pa.array(out_c, type=pa.float64()),
-            "vec": pa.array([v.tolist() for v in out_v],
-                            type=pa.list_(pa.float64()))})
-
-    rows = (rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "embedding"])
-            .map_batches(local_topk, batch_format="pyarrow",
-                         zero_copy_batch=True)).take_all()
-
-    by_q = {}
-    for r in rows:
-        by_q.setdefault(r["query_id"], []).append(r)
+    short = _cosine_topk(sf_dir, q_ids, Q, shortlist, vectors=True)
+    qcol = col_vector(short.column("query_id"), np.int64)
+    V_all = list_col_matrix(short.column("vec"))
+    rel_all = col_vector(short.column("cos"), np.float64)
+    ids_all = col_vector(short.column("neighbor_id"), np.int64)
     out_q, out_rank, out_n = [], [], []
-    for qid in sorted(by_q):
-        cand = sorted(by_q[qid],
-                      key=lambda r: (-r["cos"], r["neighbor_id"]))
-        cand = cand[:shortlist]
-        V = np.array([r["vec"] for r in cand])
-        rel = np.array([r["cos"] for r in cand])
-        ids = np.array([r["neighbor_id"] for r in cand])
+    for qid in np.unique(qcol):
+        at = qcol == qid
+        V, rel, ids = V_all[at], rel_all[at], ids_all[at]
         S = V @ V.T
+        avail = np.ones(len(ids), dtype=bool)
+        red = np.zeros(len(ids))       # max cos to the chosen; 0 while none
         chosen: list = []
-        avail = list(range(len(cand)))
-        while avail and len(chosen) < k:
-            best, best_key = None, None
-            for i in avail:
-                red = max((S[i, j] for j in chosen), default=0.0)
-                score = lam * rel[i] - (1.0 - lam) * red
-                key = (-score, ids[i])
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
+        while avail.any() and len(chosen) < k:
+            score = lam * rel - (1.0 - lam) * red
+            cand = np.flatnonzero(avail)
+            best = cand[np.lexsort((ids[cand], -score[cand]))[0]]
+            red = np.maximum(red, S[:, best]) if chosen else S[:, best]
             chosen.append(best)
-            avail.remove(best)
-        for rank, i in enumerate(chosen, 1):
-            out_q.append(int(qid))
-            out_rank.append(rank)
-            out_n.append(int(ids[i]))
+            avail[best] = False
+        out_q += [qid] * len(chosen)
+        out_rank += range(1, len(chosen) + 1)
+        out_n += ids[chosen].tolist()
     return pa.table({
         "query_id": pa.array(out_q, type=pa.int64()),
         "rank": pa.array(out_rank, type=pa.int64()),

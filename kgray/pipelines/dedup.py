@@ -285,7 +285,7 @@ def _sorted_run_pairs(srt, cols: list, id_col: str, parts: list) -> None:
 
     edge_tables = [t for t in ray.get(
         srt.map_batches(edge_rows, batch_format="pyarrow",
-                        zero_copy_batch=True).to_arrow_refs())
+                        zero_copy_batch=True).materialize().to_arrow_refs())
         if t.num_rows and cols[0] in t.schema.names]
     parts.append(srt.map_batches(interior_pairs, batch_format="pyarrow",
                                  zero_copy_batch=True))
@@ -448,6 +448,7 @@ def _verify_pairs(idx, rows, id_col: str, feature, check,
     kept rows ``{src, dst, ...}``.  Returns those rows named
     ``names``, sorted by the pair."""
     from ..stages.join import auto_join
+    from ..stages.topk import to_table
 
     empty = pa.table({c: pa.array([], type=pa.int64()) for c in names})
     if idx.n == 0:
@@ -468,12 +469,11 @@ def _verify_pairs(idx, rows, id_col: str, feature, check,
     for key, side in (("src", side_a), ("dst", side_b)):
         joined = auto_join(joined, side, key,
                            broadcast_rows=_VERIFY_BROADCAST_MAX)
-    kept = [t for t in ray.get(joined.map_batches(
-        check, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize().to_arrow_refs()) if t.num_rows]
-    if not kept:
+    kept = to_table(joined.map_batches(check, batch_format="pyarrow",
+                                       zero_copy_batch=True))
+    if kept.num_rows == 0:
         return empty
-    return pa.concat_tables(kept).rename_columns(names).sort_by(
+    return kept.rename_columns(names).sort_by(
         [(names[0], "ascending"), (names[1], "ascending")])
 
 

@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 from ...stages.aggregate import sorted_group_aggregate
+from ...stages.topk import to_table
 
 from ._shared import (  # noqa: F401
     _B_BOOT,
@@ -1819,8 +1820,7 @@ def events_fd_audit(sf_dir: str):
         [("n_groups", "sum"), ("n_violating", "sum"),
          ("max_distinct_dep", "max")], precombine=True).sort("pair_id")
 
-    t = pa.concat_tables([x for x in ray.get(out.to_arrow_refs())
-                          if x.num_rows]).sort_by("pair_id")
+    t = to_table(out).sort_by("pair_id")
     pid = t.column("pair_id").to_pylist()
     return pa.table({
         "pair_id": pa.array(pid, type=pa.int64()),

@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 from ...stages.aggregate import sorted_group_aggregate
+from ...stages.topk import to_table
 
 from ._shared import (  # noqa: F401
     _cents,
@@ -322,14 +323,11 @@ def pareto_orders(sf_dir: str):
             "total_cents": pa.array(price[idx], type=pa.int64()),
             "date_us": pa.array(date[idx], type=pa.int64())})
 
-    cand = (rd.read_parquet(f"{sf_dir}/orders.parquet",
-                            columns=["o_orderkey", "o_totalprice",
-                                     "o_orderdate"])
-            .map_batches(local, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .to_arrow_refs())
-    tabs = [t for t in ray.get(cand) if t.num_rows]
-    t = pa.concat_tables(tabs)
+    t = to_table(rd.read_parquet(f"{sf_dir}/orders.parquet",
+                                 columns=["o_orderkey", "o_totalprice",
+                                          "o_orderdate"])
+                 .map_batches(local, batch_format="pyarrow",
+                              zero_copy_batch=True))
     idx = _skyline_2d(t.column("total_cents").to_numpy(),
                       t.column("date_us").to_numpy())
     out = t.take(pa.array(np.sort(idx)))

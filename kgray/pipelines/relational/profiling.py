@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 from ...stages.aggregate import sorted_group_aggregate
+from ...stages.topk import to_table
 
 from ._shared import (  # noqa: F401
     _FK_CANDIDATES,
@@ -573,9 +574,7 @@ def join_key_inference(sf_dir: str):
         [("n_child", "sum"), ("n_parent", "sum"), ("n_contained", "sum")],
         precombine=True).sort("pair_id")
 
-    t = pa.concat_tables([x for x in ray.get(counts.to_arrow_refs())
-                          if x.num_rows])
-    t = t.sort_by("pair_id")
+    t = to_table(counts).sort_by("pair_id")
     pid = t.column("pair_id").to_pylist()
     nch = t.column("n_child").to_pylist()
     ncon = t.column("n_contained").to_pylist()

@@ -1587,9 +1587,10 @@ def bm25_search(sf_dir: str, k: int = 10, k1: float = 1.2, b: float = 0.75):
     Scale shape: with a bounded query vocabulary (here 9 terms) the
     token exchange disappears entirely — one streaming pass computes a
     doc-sized WIDE row (doc length + tf of each query term), the term
-    document frequencies reduce to a 9-integer broadcast, and scoring
-    is vectorized per block with per-query ``global_topk`` (k·n_blocks
-    survivor rows, never a full sort).  The unbounded-vocabulary twin
+    document frequencies reduce to a 9-integer broadcast, and all
+    queries score in ONE ``scored_topk`` scan (one ``[queries × docs]``
+    matrix per block, k·n_blocks survivor rows per query merged on the
+    driver, never a full sort).  The unbounded-vocabulary twin
     is ``tfidf_top_terms``/``token_postings`` (large×large token
     joins).
 
@@ -1601,7 +1602,7 @@ def bm25_search(sf_dir: str, k: int = 10, k1: float = 1.2, b: float = 0.75):
     like the LM/NB scorers."""
     import math
 
-    from ..stages.topk import global_topk
+    from ..stages.topk import scored_topk
 
     terms = sorted({t for _, q in _BM25_QUERIES for t in q.split()})
 
@@ -1644,40 +1645,24 @@ def bm25_search(sf_dir: str, k: int = 10, k1: float = 1.2, b: float = 0.75):
     n_docs = sum(r["n_docs"] for r in parts)
     avgdl = float(sum(r["sum_dl"] for r in parts)) / float(n_docs)
     df = [sum(r[f"df_{i}"] for r in parts) for i in range(len(terms))]
-    idf = [math.log((n_docs - d + 0.5) / (d + 0.5) + 1.0) for d in df]
-    term_idx = {t: i for i, t in enumerate(terms)}
+    idf = np.array([math.log((n_docs - d + 0.5) / (d + 0.5) + 1.0)
+                    for d in df])[:, None]
+    # W[q, t]: how often query q holds term t
+    q_ids = np.array([qid for qid, _ in _BM25_QUERIES], dtype=np.int64)
+    W = np.array([[q.split().count(t) for t in terms]
+                  for _, q in _BM25_QUERIES], dtype=np.int64)
 
-    out = []
-    for qid, qtext in _BM25_QUERIES:
-        q_terms = [term_idx[t] for t in qtext.split()]
+    def score(batch: pa.Table):
+        dl = batch.column("dl").to_numpy(zero_copy_only=False)
+        norm = k1 * (1.0 - b + b * (dl.astype(np.float64) / avgdl))
+        tf = np.stack([batch.column(f"tf_{i}").to_numpy(zero_copy_only=False)
+                       for i in range(len(terms))])     # [terms, docs]
+        tfn = (tf * (k1 + 1.0)) / (tf + norm)
+        part = np.floor(idf * tfn * 1e6).astype(np.int64) * (tf > 0)
+        return (q_ids, batch.select(["doc_id"]), W @ part,
+                (W @ (tf > 0)) > 0)
 
-        def score(batch: pa.Table, q_terms=q_terms) -> pa.Table:
-            dl = batch.column("dl").to_numpy(zero_copy_only=False)
-            norm = k1 * (1.0 - b + b * (dl.astype(np.float64) / avgdl))
-            s = np.zeros(batch.num_rows, dtype=np.int64)
-            hit = np.zeros(batch.num_rows, dtype=bool)
-            for ti in q_terms:
-                tf = batch.column(f"tf_{ti}") \
-                          .to_numpy(zero_copy_only=False)
-                tfn = (tf * (k1 + 1.0)) / (tf + norm)
-                s += np.floor(idf[ti] * tfn * 1e6).astype(np.int64) \
-                    * (tf > 0)
-                hit |= tf > 0
-            t = pa.table({"doc_id": batch.column("doc_id"),
-                          "score_micro": pa.array(s, type=pa.int64())})
-            return t.filter(pa.array(hit))
-
-        top = global_topk(
-            stats.map_batches(score, batch_format="pyarrow",
-                              zero_copy_batch=True),
-            [("score_micro", "descending"), ("doc_id", "ascending")], k)
-        n = top.num_rows
-        out.append(pa.table({
-            "query_id": pa.array([qid] * n, type=pa.int64()),
-            "rank": pa.array(np.arange(1, n + 1, dtype=np.int64)),
-            "doc_id": top.column("doc_id"),
-            "score_micro": top.column("score_micro")}))
-    return pa.concat_tables(out)
+    return scored_topk(stats, score, k, "score_micro", exclude_self=False)
 
 
 _MIX_WEIGHTS = {f"src{i}": (3 if i < 5 else 2 if i < 10 else 1)

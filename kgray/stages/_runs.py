@@ -124,7 +124,8 @@ def edge_interior_exchange(srt, edge_fn, interior_fn, merge_fn):
     # dataset is a no-op.
     srt = srt.materialize()
     edge_refs = srt.map_batches(edge_fn, batch_format="pyarrow",
-                                zero_copy_batch=True).to_arrow_refs()
+                                zero_copy_batch=True) \
+        .materialize().to_arrow_refs()
     edge_tables = [t for t in ray.get(edge_refs) if t.num_rows]
     interior_ds = srt.map_batches(interior_fn, batch_format="pyarrow",
                                   zero_copy_batch=True)

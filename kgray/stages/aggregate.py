@@ -153,8 +153,9 @@ def rollup_aggregate(ds, keys, aggs):
     of at most |distinct finer keys| rows, not another pass over the
     input.  The grand total folds on the driver (|distinct k1| rows).
     """
-    import ray
     import ray.data as rd
+
+    from .topk import to_table
 
     keys = [keys] if isinstance(keys, str) else list(keys)
 
@@ -181,11 +182,10 @@ def rollup_aggregate(ds, keys, aggs):
         levels.append(prev.map_batches(pad, batch_format="pyarrow"))
 
     # grand total: fold the coarsest level's rows on the driver (tiny)
-    tables = [t for t in ray.get(prev.to_arrow_refs()) if t.num_rows]
+    allt = to_table(prev)
     schema = finest.schema()
     types = dict(zip(schema.names, schema.types))
-    if tables:
-        allt = pa.concat_tables(tables, promote_options="permissive")
+    if allt.num_rows:
         total_cols = {}
         for name in schema.names:
             if name in keys:
@@ -217,8 +217,9 @@ def grouping_sets_aggregate(ds, keys, aggs, sets):
     another pass over the input.  The empty set (grand total) folds on
     the driver.
     """
-    import ray
     import ray.data as rd
+
+    from .topk import to_table
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     sets = [list(s) for s in sets]
@@ -257,9 +258,8 @@ def grouping_sets_aggregate(ds, keys, aggs, sets):
             batch_format="pyarrow"))
 
     if total_sets:
-        tables = [t for t in ray.get(finest.to_arrow_refs()) if t.num_rows]
-        if tables:
-            allt = pa.concat_tables(tables, promote_options="permissive")
+        allt = to_table(finest)
+        if allt.num_rows:
             cols = {}
             for name in schema.names:
                 if name in keys:

@@ -69,7 +69,8 @@ def _build_bloom(right, on: str, m_bits: int):
                                        type=pa.binary())})
 
     refs = (right.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).to_arrow_refs())
+                              zero_copy_batch=True)
+            .materialize().to_arrow_refs())
 
     @ray.remote
     def or_merge(*tabs):

@@ -204,7 +204,7 @@ def hll_group_distinct(ds, group: str, value_col: str, p: int = 12):
                          "regs": pa.array(out_r, type=pa.binary())})
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
+                              zero_copy_batch=True).materialize()
     tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
     merged: dict = {}
     for t in tables:
@@ -272,7 +272,7 @@ def approx_group_quantiles(ds, group: str, value_col: str, qs: list,
                          "hist": pa.array(out_h, type=pa.binary())})
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
+                              zero_copy_batch=True).materialize()
     tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
     merged: dict = {}
     for t in tables:

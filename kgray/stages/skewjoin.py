@@ -108,6 +108,7 @@ def skew_split_join(left, right, on: str, hot_threshold: int,
     import ray
 
     from .join import sorted_merge_join
+    from .topk import to_table
 
     assert detect in ("exact", "sketch")
     hot_keys = (_detect_exact(left, on, hot_threshold, max_hot_keys)
@@ -138,13 +139,9 @@ def skew_split_join(left, right, on: str, hot_threshold: int,
         m = pc.is_in(b.column(on), value_set=hot_pa)
         return b.filter(pc.invert(pc.fill_null(m, False)))
 
-    rh_tabs = [t for t in ray.get(
-        right.map_batches(right_hot_rows, batch_format="pyarrow",
-                          zero_copy_batch=True).to_arrow_refs())
-        if t.num_rows]
-    if rh_tabs:
-        right_hot = pa.concat_tables(rh_tabs, promote_options="permissive")
-    else:
+    right_hot = to_table(right.map_batches(
+        right_hot_rows, batch_format="pyarrow", zero_copy_batch=True))
+    if right_hot.num_rows == 0:
         right_hot = right.schema().base_schema.empty_table()
     if right_hot.num_rows > max_broadcast:
         raise ValueError(

@@ -1,6 +1,8 @@
-"""Distributed per-group top-k (the ``ROW_NUMBER() OVER (PARTITION BY
+"""Distributed top-k: per group (the ``ROW_NUMBER() OVER (PARTITION BY
 g ORDER BY v DESC, tiebreak) ≤ k`` window pattern — Ray Data has no
-window functions).
+window functions), global (``ORDER BY ... LIMIT k``) and per query over
+a scored scan (:func:`scored_topk`, the plan of every exact retrieval
+path).
 
 Same discipline as the other exchange stages: range-partition sort on
 ``(group, order_col desc, tiebreak asc)`` makes each group's rows a
@@ -25,8 +27,10 @@ import pyarrow.compute as pc
 from ._runs import edge_interior_exchange, nullsafe_sort
 from ._runs import edge_mask as _null_safe_edge_mask
 from ._runs import run_starts
+from ..functions.veccol import col_vector
 
-__all__ = ["grouped_topk", "global_topk"]
+__all__ = ["grouped_topk", "global_topk", "row_topk", "scored_topk",
+           "to_table"]
 
 
 def grouped_topk(ds, group: str, order_col: str, tiebreak: str, k: int,
@@ -121,8 +125,6 @@ def global_topk(ds, keys, k: int):
 
     Returns a ``pyarrow.Table`` (result-sized: ≤ k rows).
     """
-    import ray
-
     keys = [(c, o) for c, o in keys]
 
     def _local(b: pa.Table) -> pa.Table:
@@ -130,13 +132,81 @@ def global_topk(ds, keys, k: int):
             return b
         return b.sort_by(keys).slice(0, k)
 
-    small = ds.map_batches(_local, batch_format="pyarrow",
-                           zero_copy_batch=True)
     # survivors are ≤ k rows/block — driver merge is result-sized
-    tabs = [t for t in ray.get(small.to_arrow_refs()) if t.num_rows]
-    if not tabs:
-        sch = ds.schema()
-        return pa.table({n: pa.array([], type=t)
-                         for n, t in zip(sch.names, sch.types)})
-    merged = pa.concat_tables(tabs, promote_options="permissive")
-    return merged.sort_by(keys).slice(0, k)
+    top = to_table(ds.map_batches(_local, batch_format="pyarrow",
+                                  zero_copy_batch=True))
+    if top.num_rows == 0:
+        return ds.schema().base_schema.empty_table()
+    return top.sort_by(keys).slice(0, k)
+
+
+def row_topk(S: np.ndarray, ids: np.ndarray, k: int, q_ids=None,
+             valid=None, descending: bool = True):
+    """Each row's best ``k`` columns of the score matrix ``S``
+    (``[queries × candidates]``) by score, ties broken by the column's
+    ``ids`` ascending.  Cells where ``valid`` is False are never picked,
+    nor, when ``q_ids`` is given, the cell whose column id is the row's
+    own query id.  One ``np.lexsort`` along the rows, no per-row Python.
+
+    Returns ``(rows, cols)``: flat indices, row-major, each row's cells
+    in rank order."""
+    kk = min(k, S.shape[1])
+    drop = np.zeros(S.shape, dtype=bool) if valid is None else ~valid
+    if q_ids is not None:
+        drop |= ids[None, :] == np.asarray(q_ids)[:, None]
+    cols = np.lexsort((np.broadcast_to(ids, S.shape), -S if descending else S,
+                       drop), axis=1)[:, :kk].reshape(-1)
+    rows = np.repeat(np.arange(S.shape[0]), kk)
+    keep = ~drop[rows, cols]
+    return rows[keep], cols[keep]
+
+
+def scored_topk(ds, score, k: int, score_col: str,
+                descending: bool = True, exclude_self: bool = True):
+    """Per-query top-k over a scan: ``score(batch)`` returns ``(q_ids,
+    cand, S, valid)`` — the query ids, a table of the batch's candidate
+    rows whose FIRST column is the candidate id (the ascending
+    tiebreak), their ``[queries × candidates]`` scores and a cell mask
+    (or None).  Each batch keeps every query's best k cells through
+    :func:`row_topk` (the query's own id skipped when ``exclude_self``);
+    the driver sorts the survivors once and ranks each query's first k.
+    Survivors are at most k rows per query per batch, so the merge is
+    result-sized, as in :func:`global_topk`; a ``groupby`` exchange
+    would add a fixed all-to-all to every call.
+
+    Returns a ``pyarrow.Table`` ``(query_id, rank, *cand columns,
+    score_col)`` sorted by query and rank."""
+    def local(batch: pa.Table) -> pa.Table:
+        q_ids, cand, S, valid = score(batch)
+        q_ids = np.asarray(q_ids, dtype=np.int64)
+        rows, cols = row_topk(S, col_vector(cand.column(0), np.int64), k,
+                              q_ids if exclude_self else None, valid,
+                              descending)
+        out = cand.take(pa.array(cols, type=pa.int64()))
+        return (out.add_column(0, "query_id", pa.array(q_ids[rows]))
+                   .append_column(score_col, pa.array(S[rows, cols])))
+
+    t = to_table(ds.map_batches(local, batch_format="pyarrow",
+                                zero_copy_batch=True))
+    t = t.sort_by([("query_id", "ascending"),
+                   (score_col, "descending" if descending else "ascending"),
+                   (t.column_names[1], "ascending")])
+    starts = run_starts(t.column("query_id"))
+    rank = np.arange(t.num_rows) + 1 - np.repeat(
+        starts, np.diff(np.append(starts, t.num_rows)))
+    keep = rank <= k
+    return t.filter(keep).add_column(1, "rank", pa.array(rank[keep]))
+
+
+def to_table(ds) -> pa.Table:
+    """A result-sized Dataset as one table, rows in block order.  The
+    Dataset is materialized first: a lazy Dataset's ``to_arrow_refs()``
+    runs its plan once for the blocks and again for the schema."""
+    import ray
+
+    ds = ds.materialize()
+    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    if tabs:
+        return pa.concat_tables(tabs, promote_options="permissive")
+    schema = ds.schema()
+    return schema.base_schema.empty_table() if schema else pa.table({})
