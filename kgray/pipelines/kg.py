@@ -3,17 +3,18 @@
 Lifecycle (SURVEY.md §3.5), built by :func:`kg_dataset`; ``run_kg``
 runs ALL pending partition groups of a call as ONE Dataset:
 
-    read_parquet(pages shards, include_paths)      ┐ 0.25-CPU tasks: the maps fuse
-      → map_batches(add_group)  path → group id    │ into the read (into one task
-      → map_batches(extract_text)                   │ after it if Ray splits blocks)
-      → map_batches(split_sentences)                ┘
-      → map_batches(TripleSink)                     [the one actor pool] per batch:
-            per group slice: tag → extract_triples  NumPy tagger params, pattern
-            → link → write triples/group=<gid>/     rules, broadcast aliases
-            → one (group, sentences, triples) row   (no groups: TaggerLinker;
-                                                    until="tagged": a tagger
-                                                    pool; "surface": +
-                                                    extract_triples)
+    read_parquet(pages shards, include_paths)      ┐ one-CPU tasks, no actor
+      → map_batches(add_group)  path → group id    │ pool: the stateless maps
+      → map_batches(extract_text)                   │ fuse into one task per block
+      → map_batches(split_sentences)                │ (into one task after the
+      → map_batches(write_groups)                   ┘ read if Ray splits blocks)
+            per group slice, batch_size sentences   models from loaded_chain:
+            per tagger call: tag → extract_triples  NumPy tagger params, pattern
+            → link → write triples/group=<gid>/     rules, broadcast aliases,
+            → one (group, sentences, triples) row   loaded once per worker
+                                                    process (no groups:
+                                                    tag_link, until="tagged" |
+                                                    "surface" | "linked")
       → driver, in stream order (preserve_order): completed_groups folds
         the rows and appends each group's manifest record once a later
         group's row arrives or the stream ends
@@ -22,14 +23,15 @@ runs ALL pending partition groups of a call as ONE Dataset:
       pred, obj, salt) → in-place boundary merge → graph parquet per
       subj_bucket, written in that order (no further sort)
 
-The pool is sized by :func:`pool_budget`, once per call.  A group's
-record holds pages from its parquet footers and sentences and triples
-summed from the stream's rows.  A rerun skips ``done`` groups
-(`resumable`) and clears the directories of the groups it plans, so a
-group written but never committed reruns from scratch.  Model
-artifacts are built once on the driver (training data is small — the
-reference trains serially too, hmm_ner.py:9-124; only inference scales
-out) and loaded per actor.
+Ray reuses task workers across Datasets, so a worker's imports and
+model load are paid once per session, not once per ``run_kg`` call,
+and the tasks need only the CPUs that are free.  A group's record holds
+pages from its parquet footers and sentences and triples summed from
+the stream's rows.  A rerun skips ``done`` groups (`resumable`) and
+clears the directories of the groups it plans, so a group written but
+never committed reruns from scratch.  Model artifacts are built once on
+the driver (training data is small — the reference trains serially
+too, hmm_ner.py:9-124; only inference scales out).
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from ..kernels.triples import extract_sentence_triples, sentence_mentions
 from ..sources.corpus import load_side_tables
 from ..stages.canonical import canonical_graph
 from ..stages.extract import extract_text, split_sentences, tokenize_line
-from ..stages.kg import TaggerLinker, TripleSink, extract_triples
-from ..stages.tagger import TAGGERS
+from ..stages.kg import tag_link, write_groups
 from ..state.manifest import Manifest, completed_groups
 
 __all__ = ["build_models", "kg_dataset", "run_kg", "serial_oracle_triples",
@@ -69,7 +70,7 @@ def build_models(corpus_dir: str, model_dir: str, tagger: str = "hmm",
                  crf_max_sentences: int = 400) -> dict:
     """Train tagging models from the corpus's CoNLL split (driver-side:
     index assignment is insertion-ordered and inherently serial,
-    SURVEY.md §7.4) and save artifacts for actor `__init__` loading."""
+    SURVEY.md §7.4) and save artifacts for per-worker loading."""
     os.makedirs(model_dir, exist_ok=True)
     tbl = pq.read_table(os.path.join(corpus_dir, "conll_train.parquet"))
     sents_w = tbl["tokens"].to_pylist()
@@ -165,11 +166,11 @@ def pool_budget(plan: str, pool: tuple, rows: int | None = None) -> int:
     ``rows_per_actor`` rows (``None``: no input cap — spinning 24
     actors for two batches of work costs more than the work, A/B at
     sf0.001: 7.2 s vs 2.7 s).  Every actor holds one whole CPU, and the
-    pool leaves two CPUs to the plan's stateless stages (2 actors at 4
-    CPUs, 6 at 8, 30 at 32), yet one actor still starts at 2 CPUs.
+    pool leaves two CPUs to the plan's stateless stages (at most 2
+    actors at 4 CPUs, 6 at 8, 30 at 32), yet one actor starts at 2 CPUs.
 
     Invariant: the pool is at most cluster CPUs − 1.  The free CPU
-    runs the 0.25-CPU read tasks that feed the pool; without it a
+    runs the stateless tasks that feed the pool; without it a
     fixed-size pool stalls the streaming executor, which never raises.
     No pool is sized below one actor, so a 1-CPU cluster raises
     :class:`PoolBudgetError` naming the plan and the CPU count instead
@@ -205,66 +206,37 @@ def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
     (``until="tagged"``), surface triples (``"surface"``) or linked
     triples (``"linked"``).  ``lang`` keeps only the pages of that
     language; the filter runs right after the page scan, before any
-    decode work.  The pool's input cap counts the rows of every
-    language (parquet footers), so with ``lang`` it is an upper bound.
+    decode work.  ``batch_size`` is the sentences per tagger call.
+    Every stage is a stateless one-CPU map that Ray Data fuses into one
+    task per block; no actor pool starts, and the chain's models load
+    once per worker process (:func:`stages.kg.loaded_chain`).
 
     With ``groups`` (``{file basename: group id}``) and
-    ``triples_root``, the linked pool is :class:`TripleSink`: it writes
-    each group's triples under ``triples_root/group=<gid>/`` and the
-    Dataset yields ``(group, sentences, triples)`` rows instead."""
+    ``triples_root``, the chain is :func:`stages.kg.write_groups`: it
+    writes each group's triples under ``triples_root/group=<gid>/`` and
+    the Dataset yields ``(group, sentences, triples)`` rows instead."""
     if until not in ("tagged", "surface", "linked"):
         raise ValueError(f"kg_dataset: unknown until={until!r}")
     if (groups is None) != (triples_root is None) or (
             groups is not None and until != "linked"):
         raise ValueError("kg_dataset: groups and triples_root go together, "
                          "with until='linked'")
-    # the linked plan's one pool tags, extracts and links, so it takes
-    # every CPU but the two left to the read tasks
-    share = (8, 128) if until == "linked" else (TAGGER_EIGHTHS[tagger], 128)
-    # row counts come from parquet footers (metadata-only reads)
-    n_actors = pool_budget(f"kg_dataset(tagger={tagger!r}, until={until!r})",
-                           share, _footer_rows(files))
-
-    # fractional-CPU read tasks: the actor pool reserves all but the
-    # free CPUs, and a whole-CPU read would serialize on them —
-    # measured 20.8 s of read ramp on a 68 s / 480k-page run.  At 0.25
-    # CPU four reads co-schedule per free slot and the pool stays fed.
-    # The filter and the stateless maps ask for the same 0.25 CPU, so
-    # Ray Data fuses them into the read task (or, when it splits the
-    # read's blocks, into one task after it) and never into the actor:
-    # the pool's batch_size bundles sentences, not pages.
-    read_cpus = {"num_cpus": 0.25}
     ds = rd.read_parquet(files, columns=["url", "html", "lang"],
-                         include_paths=groups is not None,
-                         ray_remote_args=read_cpus)
+                         include_paths=groups is not None)
     if lang is not None:
-        ds = ds.filter(expr=f"lang == {lang!r}", **read_cpus)
+        ds = ds.filter(expr=f"lang == {lang!r}")
     maps = (extract_text, split_sentences)
     if groups is not None:
         maps = (_group_column(groups), *maps)
     for fn in maps:
-        ds = ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
-                            **read_cpus)
-    pool_args = dict(batch_format="pyarrow", batch_size=batch_size,
-                     concurrency=n_actors, num_cpus=1)
-    model_paths = _model_paths(model_dir, tagger)
-    if until == "linked":
-        # side tables load per actor from the corpus path (restart-safe;
-        # see LinkerActor docstring re ray#53727) — never ray.put refs in
-        # actor constructor args
-        chain = {"tagger": tagger, "model_paths": model_paths,
-                 "corpus_dir": corpus_dir}
-        if groups is None:
-            return ds.map_batches(TaggerLinker, fn_constructor_kwargs=chain,
-                                  **pool_args)
-        return ds.map_batches(TripleSink, fn_constructor_kwargs={
-            **chain, "triples_root": triples_root}, **pool_args)
-    ds = ds.map_batches(TAGGERS[tagger], fn_constructor_kwargs={
-        "model_paths": model_paths}, **pool_args)
-    if until == "surface":
-        ds = ds.map_batches(extract_triples, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return ds
+        ds = ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+    # names and paths only: each worker loads the models itself
+    chain = {"tagger": tagger, "model_paths": _model_paths(model_dir, tagger),
+             "corpus_dir": corpus_dir, "batch_size": batch_size}
+    fn, chain = ((tag_link, {**chain, "until": until}) if groups is None else
+                 (write_groups, {**chain, "triples_root": triples_root}))
+    return ds.map_batches(fn, fn_kwargs=chain, batch_format="pyarrow",
+                          zero_copy_batch=True)
 
 
 # --------------------------------------------------------------------------- engine stats
@@ -299,8 +271,8 @@ def run_kg(corpus_dir: str, out_dir: str, model_dir: str | None = None,
     """Full driver loop: partition groups → triples parquet (+ manifest)
     → salted canonicalization → bucketed sorted graph parquet.
 
-    Every pending group runs in ONE streaming Dataset with one actor
-    pool; each group's manifest record is appended as soon as the
+    Every pending group runs in ONE streaming Dataset of one-CPU tasks;
+    each group's manifest record is appended as soon as the
     ordered stream moves past it (:func:`completed_groups`).  The graph
     sink is ``graph/subj_bucket=<b>/`` hash-bucketed on the subject
     (``polyhash64(subj) % graph_buckets``), subj-sorted within each

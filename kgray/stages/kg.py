@@ -2,13 +2,11 @@
 
 ``decode_mentions`` and ``extract_triples`` are stateless Arrow
 transforms; ``LinkerActor`` holds the broadcast small side (alias dict +
-entity-embedding matrix) in actor state — a broadcast hash join, never a
-shuffle (SURVEY.md §2.5).  ``TaggerLinker`` is the flagship's one actor
-pool: it holds a tagger and a linker and runs tag → ``extract_triples``
-→ link on each batch of sentences, so a batch stays in one process from
-sentences to linked triples.  ``TripleSink`` is that pool when
-``run_kg`` streams several partition groups at once: it also writes
-each group's triples and returns per-group counts.
+entity-embedding matrix) in its state — a broadcast hash join, never a
+shuffle (SURVEY.md §2.5).  The flagship chain tag → ``extract_triples``
+→ link runs in plain tasks (:func:`tag_link`; :func:`write_groups` also
+writes each group's triples) over :func:`loaded_chain`, which loads the
+models once per Ray worker process.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from ..kernels.linking import EMB_DIM, link_surface
 from ..kernels.triples import extract_sentence_triples, sentence_mentions
 from .tagger import TAGGERS
 
-__all__ = ["decode_mentions", "extract_triples", "LinkerActor", "TaggerLinker",
-           "TripleSink", "MENTIONS_SCHEMA", "TRIPLES_RAW_SCHEMA",
+__all__ = ["decode_mentions", "extract_triples", "LinkerActor", "loaded_chain",
+           "tag_link", "write_groups", "MENTIONS_SCHEMA", "TRIPLES_RAW_SCHEMA",
            "TRIPLES_LINKED_SCHEMA", "SINK_STATS_SCHEMA"]
 
 MENTIONS_SCHEMA = pa.schema([
@@ -110,10 +108,10 @@ TRIPLES_LINKED_SCHEMA = pa.schema([
 
 
 class LinkerActor:
-    """Actor: link surface triples to canonical ids.
+    """Link surface triples to canonical ids.
 
     The alias index and embedding map are the broadcast small side
-    (SURVEY.md §2.5 J1/J2 pattern), loaded once per actor in
+    (SURVEY.md §2.5 J1/J2 pattern), loaded once per instance in
     ``__init__`` FROM THE CORPUS PATH — not shipped as ``ray.put``
     object refs in the constructor args: with ``max_restarts > 0`` an
     actor whose constructor args live in the object store cannot
@@ -169,19 +167,47 @@ class LinkerActor:
         })
 
 
-class TaggerLinker:
-    """Actor: tagged, extracted and linked triples from one batch of
-    sentences — the tagger class named ``tagger`` (``TAGGERS``), then
-    :func:`extract_triples`, then :class:`LinkerActor`.  Constructor
-    args are a name and paths only, so a restarted actor reloads
-    everything itself (ray#53727, see ``LinkerActor``)."""
+_SIDE_FILES = ("aliases.parquet", "entity_embeddings.parquet")  # LinkerActor's
+_LOADED: dict = {}        # this process's one (key → (tagger, linker)) entry
 
-    def __init__(self, tagger: str, model_paths: dict, corpus_dir: str):
-        self.tagger = TAGGERS[tagger](model_paths)
-        self.linker = LinkerActor(corpus_dir=corpus_dir)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.linker(extract_triples(self.tagger(batch)))
+def _stamp(path: str) -> tuple:
+    st = os.stat(path)
+    return path, st.st_mtime_ns, st.st_size
+
+
+def loaded_chain(tagger: str, model_paths: dict, corpus_dir: str) -> tuple:
+    """This process's ``(TAGGERS[tagger](model_paths),
+    LinkerActor(corpus_dir))``, kept under the tagger name and the
+    ``(path, st_mtime_ns, st_size)`` of each model file and side table.
+    The cache holds one entry; a miss clears it before loading, so a
+    model rebuilt at the same path reloads and a long-lived worker
+    never holds two corpora."""
+    key = (tagger, *(_stamp(p) for _, p in sorted(model_paths.items())),
+           *(_stamp(os.path.join(corpus_dir, f)) for f in _SIDE_FILES))
+    hit = _LOADED.get(key)
+    if hit is None:
+        _LOADED.clear()
+        hit = _LOADED[key] = (TAGGERS[tagger](model_paths),
+                              LinkerActor(corpus_dir=corpus_dir))
+    return hit
+
+
+def tag_link(batch: pa.Table, tagger: str, model_paths: dict, corpus_dir: str,
+             batch_size: int, until: str = "linked") -> pa.Table:
+    """Tagged sentences (``until="tagged"``), surface triples
+    (``"surface"``) or linked triples (``"linked"``) of a block of
+    sentences, tagged ``batch_size`` sentences per tagger call."""
+    tag, link = loaded_chain(tagger, model_paths, corpus_dir)
+    out = []
+    for lo in range(0, max(batch.num_rows, 1), batch_size):
+        part = tag(batch.slice(lo, batch_size))
+        if until != "tagged":
+            part = extract_triples(part)
+        if until == "linked":
+            part = link(part)
+        out.append(part)
+    return pa.concat_tables(out)
 
 
 SINK_STATS_SCHEMA = pa.schema([
@@ -191,47 +217,43 @@ SINK_STATS_SCHEMA = pa.schema([
 ])
 
 
-class TripleSink:
-    """Actor: :class:`TaggerLinker` over a batch of sentences that
-    carry a ``group`` column, with each group's linked triples written
-    under ``<triples_root>/group=<gid>/``.  Returns one
-    ``(group, sentences, triples)`` row per group slice of the batch,
-    in batch order.
+def write_groups(batch: pa.Table, tagger: str, model_paths: dict,
+                 corpus_dir: str, batch_size: int,
+                 triples_root: str) -> pa.Table:
+    """:func:`tag_link` over a block of sentences that carry a ``group``
+    column, with each group's linked triples written under
+    ``<triples_root>/group=<gid>/``.  Returns one
+    ``(group, sentences, triples)`` row per group slice of the block,
+    in block order.
 
     A file's name is a digest of its slice: the first and last
     ``(url, sent_id)`` and the row count.  It is written under a
     dot-prefixed temp name (which parquet readers skip) and renamed, so
-    a replayed actor task replaces its own file instead of adding a
-    second copy."""
+    a retried task replaces its own file instead of adding a second
+    copy."""
+    if not batch.num_rows:
+        return SINK_STATS_SCHEMA.empty_table()
+    groups = batch.column("group").to_numpy(zero_copy_only=False)
+    cuts = [0, *(np.flatnonzero(groups[1:] != groups[:-1]) + 1), len(groups)]
+    rows = {name: [] for name in SINK_STATS_SCHEMA.names}
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = batch.slice(lo, hi - lo).drop_columns(["group"])
+        linked = tag_link(part, tagger, model_paths, corpus_dir, batch_size)
+        if linked.num_rows:
+            _write(linked, os.path.join(triples_root, f"group={groups[lo]}"),
+                   part)
+        rows["group"].append(groups[lo])
+        rows["sentences"].append(part.num_rows)
+        rows["triples"].append(linked.num_rows)
+    return pa.Table.from_pydict(rows, schema=SINK_STATS_SCHEMA)
 
-    def __init__(self, tagger: str, model_paths: dict, corpus_dir: str,
-                 triples_root: str):
-        self.chain = TaggerLinker(tagger, model_paths, corpus_dir)
-        self.root = triples_root
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not batch.num_rows:
-            return SINK_STATS_SCHEMA.empty_table()
-        groups = batch.column("group").to_numpy(zero_copy_only=False)
-        cuts = [0, *(np.flatnonzero(groups[1:] != groups[:-1]) + 1), len(groups)]
-        rows = {name: [] for name in SINK_STATS_SCHEMA.names}
-        for lo, hi in zip(cuts, cuts[1:]):
-            part = batch.slice(lo, hi - lo).drop_columns(["group"])
-            linked = self.chain(part)
-            if linked.num_rows:
-                self._write(linked, groups[lo], part)
-            rows["group"].append(groups[lo])
-            rows["sentences"].append(part.num_rows)
-            rows["triples"].append(linked.num_rows)
-        return pa.Table.from_pydict(rows, schema=SINK_STATS_SCHEMA)
-
-    def _write(self, table: pa.Table, gid: str, part: pa.Table) -> None:
-        url, sid = part.column("url"), part.column("sent_id")
-        ends = (url[0], sid[0], url[-1], sid[-1])
-        key = "\0".join(str(v.as_py()) for v in ends) + f"\0{part.num_rows}"
-        name = hashlib.sha1(key.encode()).hexdigest() + ".parquet"
-        group_dir = os.path.join(self.root, f"group={gid}")
-        os.makedirs(group_dir, exist_ok=True)
-        tmp = os.path.join(group_dir, f".{os.getpid()}-{name}")
-        pq.write_table(table, tmp)
-        os.replace(tmp, os.path.join(group_dir, name))
+def _write(table: pa.Table, group_dir: str, part: pa.Table) -> None:
+    url, sid = part.column("url"), part.column("sent_id")
+    ends = (url[0], sid[0], url[-1], sid[-1])
+    key = "\0".join(str(v.as_py()) for v in ends) + f"\0{part.num_rows}"
+    name = hashlib.sha1(key.encode()).hexdigest() + ".parquet"
+    os.makedirs(group_dir, exist_ok=True)
+    tmp = os.path.join(group_dir, f".{os.getpid()}-{name}")
+    pq.write_table(table, tmp)
+    os.replace(tmp, os.path.join(group_dir, name))

@@ -1,12 +1,12 @@
-"""Stateful tagging stage: batched Viterbi through an actor pool.
+"""Tagging stage: batched Viterbi over NumPy model arrays.
 
-``map_batches(HMMTagger, batch_format="pyarrow", batch_size=B,
-concurrency=n, num_cpus=1)`` with ``n`` from ``pipelines.kg.pool_budget``
-— model arrays load ONCE per actor in ``__init__`` (the distributed
-analogue of the reference's single pickle load at predict start,
-``hmm_ner.py:130-131`` / ``crf_ner.py:659-665``), then every
+Each tagger class loads its model arrays ONCE in ``__init__`` (the
+distributed analogue of the reference's single pickle load at predict
+start, ``hmm_ner.py:130-131`` / ``crf_ner.py:659-665``), then every
 ``__call__`` decodes one Arrow batch of sentences with the vectorized
-NumPy kernel.
+NumPy kernel.  The flagship builds them through
+``stages.kg.loaded_chain``, once per Ray worker process; the
+validation-split plans run them as actor pools.
 
 Sentences whose ``lang`` has no model are tagged all-``"O"`` (no
 mentions downstream).
@@ -43,7 +43,7 @@ def _attach_tags(batch: pa.Table, tags: list) -> pa.Table:
 
 
 class HMMTagger:
-    """Actor: HMM Viterbi over BIO tags (kernel semantics of
+    """HMM Viterbi over BIO tags (kernel semantics of
     hmm_ner.py:165-268, vectorized)."""
 
     def __init__(self, model_paths: dict):
@@ -71,9 +71,9 @@ class HMMTagger:
 
 
 class TransformerTagger:
-    """Actor: Transformer-CRF NumPy inference (eval semantics of
+    """Transformer-CRF NumPy inference (eval semantics of
     transformer_ner.py:105-274; truncate/pad + PAD→O rewrite of
-    :580-588/:617-626).  Weights load once per actor."""
+    :580-588/:617-626).  Weights load once, in ``__init__``."""
 
     def __init__(self, model_paths: dict):
         self.models = {lang: tfm_kernel.TransformerCRFModel.load(p)
@@ -100,7 +100,7 @@ class TransformerTagger:
 
 
 class CRFTagger:
-    """Actor: template-feature CRF Viterbi (kernel semantics of
+    """Template-feature CRF Viterbi (kernel semantics of
     crf_ner.py:371-512; compiled grouped weight tables built once)."""
 
     def __init__(self, model_paths: dict):
@@ -125,5 +125,5 @@ class CRFTagger:
         return _attach_tags(batch, tags)
 
 
-# tagger name (the ``--tagger`` / ``models.json`` key) → actor class
+# tagger name (the ``--tagger`` / ``models.json`` key) → tagger class
 TAGGERS = {"hmm": HMMTagger, "crf": CRFTagger, "transformer": TransformerTagger}

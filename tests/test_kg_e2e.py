@@ -139,15 +139,24 @@ def test_manifest_lineage(kg_run):
 
 
 def test_one_pool_per_call(kg_run):
-    """Both groups of the tiny corpus stream through one Dataset: its
-    executed plan has exactly one actor-pool operator."""
+    """Both groups of the tiny corpus stream through one Dataset with no
+    actor pool: every operator is made of the read and the stateless
+    maps, and exactly one operator holds the chain, fused with
+    extract/split."""
+    import inspect
+    import re
+
+    from kgray.stages import kg as kg_stage
+
     _, _, _, stats = kg_run
     assert len(stats["groups_run"]) == 2
-    pools = [op["name"] for op in stats["stream_ops"]
-             if "MapBatches(TripleSink)" in op["name"]]
-    assert len(pools) == 1, [op["name"] for op in stats["stream_ops"]]
-    assert not any("TaggerLinker" in op["name"] or "Write" in op["name"]
-                   for op in stats["stream_ops"])
+    names = [op["name"] for op in stats["stream_ops"]]
+    stage = re.compile(r"ReadParquet|SplitBlocks\(\d+\)|MapBatches\("
+                       r"(add_group|extract_text|split_sentences|write_groups)\)")
+    assert all(stage.fullmatch(part) for n in names for part in n.split("->")), names
+    chain = [n for n in names if "write_groups" in n]
+    assert len(chain) == 1 and "split_sentences" in chain[0], names
+    assert inspect.isfunction(kg_stage.write_groups)
 
 
 def _rows(*spec):
@@ -200,44 +209,148 @@ def test_commit_fold_out_of_order_raises():
         list(completed_groups(["g0"], _rows(("gX", 1, 1))))
 
 
+def _sentences(corpus_dir, n_files=2):
+    import pyarrow as pa
+
+    from kgray.stages.extract import extract_text, split_sentences
+
+    files = kg.page_files(corpus_dir)[:n_files]
+    pages = pa.concat_tables(pq.read_table(f, columns=["url", "html", "lang"])
+                             for f in files)
+    return split_sentences(extract_text(pages))
+
+
 def test_sink_replay_overwrites_its_own_file(ray_session, kg_run, tmp_path):
-    """A replayed actor task (Ray Data pools retry them) rewrites the
-    same file instead of adding a copy, and a leftover dot-prefixed
-    temp file is never read as triples."""
+    """A retried task (Ray Data retries failed tasks) rewrites the same
+    file instead of adding a copy, whether it lands on a worker whose
+    model cache is warm or on a fresh one; a leftover dot-prefixed temp
+    file is never read as triples."""
     import pyarrow as pa
     import ray.data as rd
 
-    from kgray.stages.extract import extract_text, split_sentences
-    from kgray.stages.kg import TripleSink
+    from kgray.stages import kg as kg_stage
 
     corpus_dir, _, model_dir, _ = kg_run
-    files = kg.page_files(corpus_dir)[:2]
-    pages = pa.concat_tables(pq.read_table(f, columns=["url", "html", "lang"])
-                             for f in files)
-    sents = split_sentences(extract_text(pages))
+    sents = _sentences(corpus_dir)
     half = sents.num_rows // 2
     gids = ["g00000"] * half + ["g00001"] * (sents.num_rows - half)
     batch = sents.append_column("group", pa.array(gids, type=pa.string()))
     with open(os.path.join(model_dir, "models.json")) as f:
         paths = json.load(f)["hmm"]
     root = str(tmp_path / "triples")
-    sink = TripleSink("hmm", paths, corpus_dir, root)
-    first = sink(batch)
+
+    def sink():
+        return kg_stage.write_groups(batch, "hmm", paths, corpus_dir, 256, root)
+
+    first = sink()
     assert first.column("group").to_pylist() == ["g00000", "g00001"]
     assert first.column("sentences").to_pylist() == [half, sents.num_rows - half]
     written = sorted(glob.glob(os.path.join(root, "*", "*.parquet")))
     assert len(written) == 2                       # one per (group, slice)
     total = sum(pq.read_metadata(f).num_rows for f in written)
     assert total == sum(first.column("triples").to_pylist()) > 0
-    # the retry runs on the same actor, or on a restarted one
-    for replay in (sink, TripleSink("hmm", paths, corpus_dir, root)):
-        assert replay(batch).equals(first)
+    for fresh_worker in (False, True):
+        if fresh_worker:
+            kg_stage._LOADED.clear()
+        assert sink().equals(first)
+        assert len(kg_stage._LOADED) == 1
         assert sorted(glob.glob(os.path.join(root, "*", "*.parquet"))) == written
         assert sum(pq.read_metadata(f).num_rows for f in written) == total
     # a writer killed between write and rename leaves its temp file
     pq.write_table(pq.read_table(written[0]),
                    os.path.join(os.path.dirname(written[0]), ".123-stale.parquet"))
     assert rd.read_parquet(root).count() == total
+
+
+def test_chain_cache_reloads_a_rebuilt_model(kg_run, tmp_path):
+    """A model or side table rebuilt at the same path is reloaded by the
+    next batch in the same process, and the cache holds one entry."""
+    import shutil
+
+    import pyarrow as pa
+
+    from kgray.kernels import hmm as hmm_kernel
+    from kgray.stages import kg as kg_stage
+    from kgray.stages.tagger import HMMTagger
+
+    src, _, _, _ = kg_run
+    corpus = str(tmp_path / "corpus")
+    shutil.copytree(src, corpus)
+    model_dir = str(tmp_path / "models")
+    paths = kg.build_models(corpus, model_dir, tagger="hmm")["hmm"]
+    sents = _sentences(corpus, n_files=1)
+
+    def chain(until):
+        return kg_stage.tag_link(sents, "hmm", paths, corpus, 256, until)
+
+    def fresh(until):
+        tagged = HMMTagger(paths)(sents)
+        if until == "tagged":
+            return tagged
+        return kg_stage.LinkerActor(corpus_dir=corpus)(
+            kg_stage.extract_triples(tagged))
+
+    before = chain("tagged")
+    assert before.equals(fresh("tagged"))
+    # rebuild the English model from three training sentences
+    train = pq.read_table(os.path.join(corpus, "conll_train.parquet"))
+    hmm_kernel.train_hmm(train["tokens"].to_pylist()[:3],
+                         train["tags"].to_pylist()[:3]).save(
+        paths["en"][:-len(".npz")])
+    after = chain("tagged")
+    assert not after.equals(before) and after.equals(fresh("tagged"))
+    assert len(kg_stage._LOADED) == 1
+    # rewrite the alias table: one alias fewer, every prior halved
+    linked = chain("linked")
+    aliases = os.path.join(corpus, "aliases.parquet")
+    al = pq.read_table(aliases).slice(1)
+    pq.write_table(al.set_column(2, "prior", pa.compute.multiply(
+        al.column("prior"), 0.5)), aliases)
+    relinked = chain("linked")
+    assert not relinked.equals(linked) and relinked.equals(fresh("linked"))
+    assert len(kg_stage._LOADED) == 1
+
+
+def test_run_kg_beside_a_cotenant(ray_session, tiny_corpus_dir, tmp_path):
+    """An actor holds 3 of the session's 4 CPUs: ``run_kg`` still ends in
+    the serial oracle's graph, on the one free CPU, before a deadline,
+    so a plan that cannot be scheduled fails here instead of hanging."""
+    import threading
+
+    import ray
+
+    @ray.remote(num_cpus=3)
+    class CoTenant:
+        def ready(self):
+            return True
+
+    out = str(tmp_path / "kg_cotenant")
+    model_dir = os.path.join(out, "models")
+    kg.build_models(tiny_corpus_dir, model_dir, tagger="hmm")
+    tenant = CoTenant.remote()
+    box = {}
+
+    def run():
+        try:
+            box["stats"] = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir)
+        except BaseException as e:       # re-raised in the test's thread
+            box["err"] = e
+
+    t = threading.Thread(target=run, daemon=True)
+    try:
+        assert ray.get(tenant.ready.remote(), timeout=60)
+        t.start()
+        t.join(120)
+        stalled = t.is_alive()
+    finally:
+        ray.kill(tenant)
+    t.join(120)               # a stalled run drains once the CPUs are back
+    assert not stalled, "run_kg beside a co-tenant: no graph after 120 s"
+    if "err" in box:
+        raise box["err"]
+    assert not box["stats"]["groups_remaining"]
+    assert _read_graph(out) == kg.serial_oracle_triples(tiny_corpus_dir,
+                                                        model_dir, tagger="hmm")
 
 
 def test_resume_skips_done_groups(ray_session, tiny_corpus_dir, tmp_path):
