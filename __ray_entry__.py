@@ -99,14 +99,12 @@ def _kg_mentions(sf_dir: str):
 
 
 def _tags_valid(sf_dir: str, tagger: str):
-    """Tag the CoNLL validation split through the actor pool; exploded
+    """Tag the CoNLL validation split in one-CPU tasks; exploded
     (sent_id, token_idx, token, tag) rows."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data as rd
-    from kgray.pipelines.kg import TAGGER_EIGHTHS, _model_paths, pool_budget
+    from kgray.pipelines.kg import _model_paths, tag_table
     from kgray.sources.derived import corpus_for_sf, models_for_corpus
-    from kgray.stages.tagger import TAGGERS
 
     corpus = corpus_for_sf(sf_dir)
     model_dir = models_for_corpus(corpus, tagger=tagger)
@@ -117,16 +115,8 @@ def _tags_valid(sf_dir: str, tagger: str):
         "tokens": tbl["tokens"],
         "lang": pa.array(["en"] * tbl.num_rows),
     })
-    # from_arrow yields ONE block; split it into one block per actor or
-    # the pool idles.  The input cap keeps a 200-sentence split from
-    # paying the CRF table compile in __init__ on idle actors (NOTES #122).
-    n_actors = pool_budget(f"{tagger}_tags_valid",
-                           (TAGGER_EIGHTHS[tagger], 256), src.num_rows)
-    ds = rd.from_arrow(src).repartition(n_actors).map_batches(
-        TAGGERS[tagger],
-        fn_constructor_kwargs={"model_paths": _model_paths(model_dir, tagger)},
-        batch_format="pyarrow", batch_size=512,
-        concurrency=n_actors, num_cpus=1)
+    ds = tag_table(src, tagger, _model_paths(model_dir, tagger), corpus,
+                   batch_size=512)
 
     def explode(batch: pa.Table) -> pa.Table:
         sids, tidx, toks, tags = [], [], [], []
@@ -151,13 +141,13 @@ def _hmm_tags_valid(sf_dir: str):
 
 
 def _crf_tags_valid(sf_dir: str):
-    """Same as _hmm_tags_valid through the CRF actor pool (compiled
+    """Same as _hmm_tags_valid through the CRF tagger (compiled
     grouped weight tables + window-memoized decode)."""
     return _tags_valid(sf_dir, "crf")
 
 
 def _transformer_tags_valid(sf_dir: str):
-    """Same through the Transformer-CRF NumPy inference actor pool
+    """Same through the Transformer-CRF NumPy inference tagger
     (reference T5 eval semantics; deterministic seeded weights — no
     torch in env, see kgray/kernels/transformer.py)."""
     return _tags_valid(sf_dir, "transformer")

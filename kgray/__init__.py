@@ -4,7 +4,7 @@ Built from scratch around the computational semantics of the reference
 NER toolkit (``/root/reference``: ``hmm_ner.py``, ``crf_ner.py``): count-based
 HMM estimation, template-feature linear-chain CRF, Viterbi decoding over
 BIO/BMES tags — re-expressed as NumPy kernels hosted inside Ray Data
-actor pools, plus the surrounding KG pipeline (HTML→text extraction,
+tasks, plus the surrounding KG pipeline (HTML→text extraction,
 sentence split/tokenize, triple extraction, entity linking, salted-key
 canonicalization, sort-partitioned Parquet graph materialization) that
 the reference does not have.

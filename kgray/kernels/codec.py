@@ -10,7 +10,7 @@ formats need no codec library at all:
   samples view as ``int16`` NumPy arrays.
 
 These make the engine's multimodal path REAL end-to-end for
-uncompressed assets (synthesize → binary column → actor-pool decode →
+uncompressed assets (synthesize → binary column → task-side decode →
 features); compressed formats (JPEG/PNG/MP3) remain honestly stubbed in
 ``pipelines/multimodal.py`` because their codecs aren't in this
 environment.

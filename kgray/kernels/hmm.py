@@ -230,7 +230,7 @@ def viterbi_batch(sentences: list, model: HMMModel) -> list:
 
     Sentences are bucketed by length; each bucket runs one [N, T] DP so
     per-step NumPy overhead amortizes over the batch (the scale path for
-    the actor-pool tagger).  Produces exactly the same tags as
+    the flagship's tagger tasks).  Produces exactly the same tags as
     :func:`viterbi_decode` per sentence (asserted in tests); empty
     sentences pass through as empty tag lists (hmm_ner.py:153-155).
     """

@@ -2,7 +2,8 @@
 
 New engine surface (the reference has no linking; SURVEY.md §2.5 J-new).
 Pure functions so the corpus generator (gold construction), the serial
-oracle extractor, and the Ray ``LinkerActor`` all share one definition —
+oracle extractor, and ``stages.kg.LinkerActor`` (a plain class built
+once per Ray worker process) all share one definition —
 the parity gate is then meaningful.
 
 Semantics:

@@ -1491,41 +1491,30 @@ def kg_alias_patch(sf_dir: str, n_patch: int = 5, plan: str = "incremental"):
     pinned by test) and the fixture oracle gates the output."""
     import ray
 
-    from ..kernels.linking import EMB_DIM
     from ..sources.corpus import load_side_tables
     from ..sources.derived import corpus_for_sf
     from ..stages.canonical import canonical_graph
-    from ..stages.kg import LinkerActor
-    from .kg import pool_budget
+    from ..stages.kg import loaded_chain
+    from ..stages.topk import to_table
 
     assert plan in ("incremental", "full")
     corpus = corpus_for_sf(sf_dir)
-    alias_idx, emb_map = load_side_tables(corpus)
+    alias_idx, _ = load_side_tables(corpus)
     patched = sorted(s for s, c in alias_idx.items() if len(c) >= 2)[:n_patch]
-    # the delta is a SMALL plain-dict overlay passed by value — the
-    # actor loads the base index from the corpus path and applies it
-    # in __init__ (restart-safe, ray#53727; see LinkerActor docstring)
+    # the delta is a SMALL plain-dict overlay passed by value; each
+    # worker loads the base index from the corpus path and applies it
     alias_patch = {s: [max(alias_idx[s])] for s in patched}
     patched_set = frozenset(patched)
 
     surface = _surface_triples_for_sf(sf_dir)
 
-    def relink(ds, rows):
-        # one actor per 4096-row batch: each actor loads the side tables
-        # in __init__, and an actor with no batch of its own only adds
-        # that load (sf0.01 on 8 Ray CPUs over 4 cores: 6 actors took
-        # 12.3 s, 2 took 7.9 s)
-        n_actors = pool_budget(f"kg_alias_patch(plan={plan!r}) relink",
-                               (8, 4096), rows)
-        return ds.map_batches(
-            LinkerActor,
-            fn_constructor_kwargs={"corpus_dir": corpus,
-                                   "alias_patch": alias_patch},
-            batch_format="pyarrow", batch_size=4096,
-            concurrency=n_actors, num_cpus=1)
+    def relink(ds):
+        def link(b: pa.Table) -> pa.Table:
+            return loaded_chain(None, {}, corpus, alias_patch)[1](b)
+        return ds.map_batches(link, batch_format="pyarrow")
 
     if plan == "full":
-        linked = relink(surface, surface.count())    # parquet footers
+        linked = relink(surface)
     else:
         pset_ref = ray.put(patched_set)
 
@@ -1537,15 +1526,13 @@ def kg_alias_patch(sf_dir: str, n_patch: int = 5, plan: str = "incremental"):
                              for s, o in zip(sub, obj)], dtype=bool)
 
         # delta-sized: the (url, sent_id) keys of affected sentences
-        hit_tables = [t for t in ray.get(
-            surface.map_batches(
-                lambda b: b.filter(pa.array(affected_mask(b)))
-                           .select(["url", "sent_id"]),
-                batch_format="pyarrow").to_arrow_refs())
-            if t.num_rows and "url" in t.schema.names]
-        hit = (set(zip(pa.concat_tables(hit_tables).column("url").to_pylist(),
-                       pa.concat_tables(hit_tables).column("sent_id").to_pylist()))
-               if hit_tables else set())
+        hits = to_table(surface.map_batches(
+            lambda b: b.filter(pa.array(affected_mask(b)))
+                       .select(["url", "sent_id"]),
+            batch_format="pyarrow"))
+        hit = (set(zip(hits.column("url").to_pylist(),
+                       hits.column("sent_id").to_pylist()))
+               if hits.num_rows else set())
         hit_ref = ray.put(hit)
 
         def split(keep: bool):
@@ -1562,8 +1549,7 @@ def kg_alias_patch(sf_dir: str, n_patch: int = 5, plan: str = "incremental"):
         keep_rows = _linked_triples_for_sf(sf_dir).map_batches(
             split(keep=True), batch_format="pyarrow")
         relinked = relink(surface.map_batches(split(keep=False),
-                                              batch_format="pyarrow"),
-                          len(hit))
+                                              batch_format="pyarrow"))
         linked = keep_rows.union(relinked)
 
     return canonical_graph(linked).drop_columns(["sample_urls"])         .sort("subj")
@@ -1574,7 +1560,7 @@ def kg_gold_eval_transformer(sf_dir: str):
     mention-extraction kernel (closes the T5 loop end-to-end): the
     NumPy transformer trains on-engine per language
     (``train_transformer_distributed``, bit-deterministic, cached),
-    the full KG pipeline runs with the TransformerTagger actor pool,
+    the full KG pipeline runs with the TransformerTagger in its tasks,
     and the canonical triple set is scored against the generator's
     gold — the north rule's P/R≥0.95 bar for the third reference
     model family (asserted in tests, surfaced here as a

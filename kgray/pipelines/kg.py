@@ -44,7 +44,6 @@ import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from ..kernels import crf as crf_kernel, hmm as hmm_kernel
@@ -58,8 +57,7 @@ from ..state.manifest import Manifest, completed_groups
 
 __all__ = ["build_models", "kg_dataset", "run_kg", "serial_oracle_triples",
            "page_files", "partition_groups", "page_site_counts",
-           "pool_budget", "PoolBudgetError", "TAGGER_EIGHTHS",
-           "operator_stats"]
+           "tag_table", "operator_stats"]
 
 
 # --------------------------------------------------------------------------- models
@@ -147,47 +145,6 @@ def partition_groups(files: list, files_per_group: int = 2) -> list:
     return groups
 
 
-class PoolBudgetError(RuntimeError):
-    """The actor pool of a plan cannot start on this cluster."""
-
-
-# tagger pool's CPU share: HMM decode is light → 6/8 (A/B-measured
-# round 2: (24, 7) beats (16, 8) by ~40% at 32 CPUs); CRF decode does
-# ~6.8× the linker's CPU (ds.stats(), 480k pages) → 7/8
-TAGGER_EIGHTHS = {"hmm": 6, "crf": 7, "transformer": 7}
-
-
-def pool_budget(plan: str, pool: tuple, rows: int | None = None) -> int:
-    """Actor count of the one actor pool of ``plan``.
-
-    ``pool`` is ``(eighths, rows_per_actor)``: the pool asks for
-    ``eighths``/8 of the cluster CPUs and, when the plan's input row
-    count ``rows`` is known, for at most one actor per
-    ``rows_per_actor`` rows (``None``: no input cap — spinning 24
-    actors for two batches of work costs more than the work, A/B at
-    sf0.001: 7.2 s vs 2.7 s).  Every actor holds one whole CPU, and the
-    pool leaves two CPUs to the plan's stateless stages (at most 2
-    actors at 4 CPUs, 6 at 8, 30 at 32), yet one actor starts at 2 CPUs.
-
-    Invariant: the pool is at most cluster CPUs − 1.  The free CPU
-    runs the stateless tasks that feed the pool; without it a
-    fixed-size pool stalls the streaming executor, which never raises.
-    No pool is sized below one actor, so a 1-CPU cluster raises
-    :class:`PoolBudgetError` naming the plan and the CPU count instead
-    of returning a plan that cannot start.
-    """
-    eighths, rows_per_actor = pool
-    cpus = int(ray.cluster_resources().get("CPU", 0))
-    if cpus < 2:
-        raise PoolBudgetError(
-            f"{plan}: an actor pool needs 2 CPUs with one left free for "
-            f"the read tasks; the cluster has {cpus}")
-    n = max(1, min(cpus - 2, eighths * cpus // 8))
-    if rows is not None and rows_per_actor:
-        n = min(n, rows // rows_per_actor + 1)
-    return n
-
-
 def _group_column(groups: dict):
     """Batch fn: the read's ``path`` column → the file's ``group`` id."""
     def add_group(batch):
@@ -237,6 +194,22 @@ def kg_dataset(files, corpus_dir: str, model_dir: str, tagger: str = "hmm",
                  (write_groups, {**chain, "triples_root": triples_root}))
     return ds.map_batches(fn, fn_kwargs=chain, batch_format="pyarrow",
                           zero_copy_batch=True)
+
+
+def tag_table(src: pa.Table, tagger: str, model_paths: dict,
+              corpus_dir: str, batch_size: int):
+    """Lazy Dataset of the tagged sentences of an in-memory
+    ``(url, sent_id, tokens, lang)`` table: one block per 256 rows (and
+    one more), each tagged in a one-CPU task by
+    :func:`stages.kg.tag_link`, ``batch_size`` sentences per tagger
+    call."""
+    step = src.num_rows // (src.num_rows // 256 + 1) + 1
+    blocks = [src.slice(lo, step) for lo in range(0, src.num_rows, step)]
+    return rd.from_arrow(blocks or [src]).map_batches(
+        tag_link, fn_kwargs={"tagger": tagger, "model_paths": model_paths,
+                             "corpus_dir": corpus_dir,
+                             "batch_size": batch_size, "until": "tagged"},
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 # --------------------------------------------------------------------------- engine stats

@@ -3,12 +3,15 @@ image/audio payloads carried as opaque ``binary`` columns with typed
 metadata.
 
 The actual codecs (Pillow/ffmpeg) are not in this environment, so the
-decode step is STUBBED: :class:`BinaryFeaturizer` computes a
+decode step is STUBBED: :func:`featurize_binary` computes a
 deterministic fake feature (byte histogram) unless a real decoder is
 injected, and :func:`decode_image` raises ``NotImplementedError`` with
-a clear message.  Everything around the stub — schema, actor-pool
-signature, batch sizing for large binary rows, output layout — is real
-and tested.
+a clear message.  Everything around the stub — schema, batch sizing
+for large binary rows, output layout — is real and tested.
+
+Every featurizer is a stateless batch function that holds only codec
+function handles; the plans run it in one-CPU ``map_batches`` tasks,
+with its keyword arguments in ``fn_kwargs``, on whatever CPUs are free.
 """
 
 from __future__ import annotations
@@ -17,21 +20,13 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from .kg import pool_budget
-
-__all__ = ["decode_image", "byte_histogram", "BinaryFeaturizer",
+__all__ = ["decode_image", "byte_histogram", "featurize_binary",
            "binary_features", "synth_bmp_payload", "synth_wav_payload",
-           "ImageFeaturizer", "AudioFeaturizer", "image_features",
-           "audio_features", "synth_video_payload", "VideoFeaturizer",
+           "featurize_image", "featurize_audio", "image_features",
+           "audio_features", "synth_video_payload", "featurize_video",
            "video_features"]
 
 N_BUCKETS = 16
-
-
-def _featurizer_pool(plan: str) -> int:
-    """The budgeted size of the plan's one featurizer pool (the HMM
-    tagger's 6/8 share)."""
-    return pool_budget(plan, (6, None))
 
 
 def decode_image(payload: bytes):
@@ -39,8 +34,8 @@ def decode_image(payload: bytes):
     is not available in this environment."""
     raise NotImplementedError(
         "image decoding needs an image codec (Pillow/libjpeg); not "
-        "available in this sandbox — inject `decoder=` into "
-        "BinaryFeaturizer for the real path")
+        "available in this environment — pass `decoder=` to "
+        "featurize_binary for the real path")
 
 
 def byte_histogram(payload: bytes, n_buckets: int = N_BUCKETS) -> np.ndarray:
@@ -52,53 +47,44 @@ def byte_histogram(payload: bytes, n_buckets: int = N_BUCKETS) -> np.ndarray:
     return np.bincount(arr >> 4, minlength=n_buckets).astype(np.int64)
 
 
-class BinaryFeaturizer:
-    """Actor-pool stage over a binary column.
-
-    ``__init__`` is where a real model/codec would load (once per
-    actor); ``__call__`` featurizes one Arrow batch.  Use small
-    ``batch_size`` for large payloads so batch × concurrency fits in
-    worker heap.
+def featurize_binary(batch: pa.Table, column: str = "html",
+                     decoder=None) -> pa.Table:
+    """Batch function over a binary column: ``decoder(bytes)`` (the
+    byte-histogram stub by default) per payload.  Use a small
+    ``batch_size`` for large payloads so a batch fits in worker heap.
     """
-
-    def __init__(self, column: str = "html", decoder=None):
-        self.column = column
-        self.decoder = decoder or byte_histogram    # stub by default
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats, sizes = [], []
-        for payload in batch.column(self.column).to_pylist():
-            b = payload if payload is not None else b""
-            feats.append(self.decoder(b).tolist())
-            sizes.append(len(b))
-        return pa.table({
-            "url": batch.column("url"),
-            "n_bytes": pa.array(sizes, type=pa.int64()),
-            "features": pa.array(feats, type=pa.list_(pa.int64())),
-        })
+    decoder = decoder or byte_histogram
+    feats, sizes = [], []
+    for payload in batch.column(column).to_pylist():
+        b = payload if payload is not None else b""
+        feats.append(decoder(b).tolist())
+        sizes.append(len(b))
+    return pa.table({
+        "url": batch.column("url"),
+        "n_bytes": pa.array(sizes, type=pa.int64()),
+        "features": pa.array(feats, type=pa.list_(pa.int64())),
+    })
 
 
 def binary_features(pages, batch_size: int = 256, column: str = "html"):
-    """binary-column rows → per-url feature rows via the featurizer pool.
+    """binary-column rows → per-url feature rows in one-CPU tasks.
 
     ``pages``: parquet path(s) or an existing Dataset.  Size
-    ``batch_size`` to the payloads: batch_size × payload × pool size
-    must fit the workers' heap (e.g. 16 for 10 MB images).
+    ``batch_size`` to the payloads: batch_size × payload must fit the
+    workers' heap (e.g. 16 for 10 MB images).
     """
     ds = pages if hasattr(pages, "map_batches") else \
         rd.read_parquet(pages, columns=["url", column])
-    return ds.map_batches(BinaryFeaturizer, fn_constructor_kwargs={"column": column},
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=_featurizer_pool("binary_features"),
-                          num_cpus=1)
+    return ds.map_batches(featurize_binary, fn_kwargs={"column": column},
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
 # ------------------------------------------------------------------
 # REAL decode path — uncompressed formats (BMP / PCM WAV) need no codec
 # library, so for them the full multimodal pipeline is genuinely real:
 # synthesize deterministic binary payloads → carry them through the
-# object store as a binary column → decode + featurize in an actor
-# pool.  Compressed formats (JPEG/PNG/MP3) stay stubbed above.
+# object store as a binary column → decode + featurize in one-CPU
+# tasks.  Compressed formats (JPEG/PNG/MP3) stay stubbed above.
 
 def synth_bmp_payload(doc_id: int) -> bytes:
     """Deterministic per-doc BMP: doc-dependent size, gradient +
@@ -133,75 +119,65 @@ def synth_wav_payload(doc_id: int) -> bytes:
                       .astype(np.int16), rate)
 
 
-class ImageFeaturizer:
-    """Actor-pool stage: binary BMP column → decoded image features.
+def featurize_image(batch: pa.Table, thumb: int = 8,
+                    decoder=None) -> pa.Table:
+    """Batch function: binary BMP column → decoded image features.
 
     Exactly the shape a real vision featurizer takes — decode once per
     payload, all per-pixel math vectorized in NumPy, integer outputs so
-    results are bitwise-stable.  ``__init__`` is where a model would
-    load (once per actor).  ``decoder`` injects a real codec (e.g. a
-    Pillow-backed ``bytes → HxWx3 uint8 RGB``) in place of the
+    results are bitwise-stable.  ``decoder`` injects a real codec (e.g.
+    a Pillow-backed ``bytes → HxWx3 uint8 RGB``) in place of the
     from-scratch BMP decoder; the conditional parity test in
-    ``tests/test_multimodal.py`` proves both paths emit identical
+    ``tests/test_multimodal_codec.py`` proves both paths emit identical
     feature columns whenever Pillow is present."""
+    from ..kernels.codec import decode_bmp, resize_nearest
 
-    def __init__(self, thumb: int = 8, decoder=None):
-        from ..kernels.codec import decode_bmp, resize_nearest
-        self._decode = decoder or decode_bmp
-        self._resize = resize_nearest
-        self.thumb = thumb
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = {"doc_id": [], "width": [], "height": [],
-                "sum_r": [], "sum_g": [], "sum_b": [], "thumb_sum": []}
-        ids = batch.column("doc_id").to_pylist()
-        for doc_id, payload in zip(ids, batch.column("payload").to_pylist()):
-            img = self._decode(payload)
-            h, w = img.shape[:2]
-            sums = img.reshape(-1, 3).sum(axis=0, dtype=np.int64)
-            th = self._resize(img, self.thumb, self.thumb)
-            rows["doc_id"].append(doc_id)
-            rows["width"].append(w)
-            rows["height"].append(h)
-            rows["sum_r"].append(int(sums[0]))
-            rows["sum_g"].append(int(sums[1]))
-            rows["sum_b"].append(int(sums[2]))
-            rows["thumb_sum"].append(int(th.sum(dtype=np.int64)))
-        return pa.table({k: pa.array(v, type=pa.int64())
-                         for k, v in rows.items()})
+    decode = decoder or decode_bmp
+    rows = {"doc_id": [], "width": [], "height": [],
+            "sum_r": [], "sum_g": [], "sum_b": [], "thumb_sum": []}
+    ids = batch.column("doc_id").to_pylist()
+    for doc_id, payload in zip(ids, batch.column("payload").to_pylist()):
+        img = decode(payload)
+        h, w = img.shape[:2]
+        sums = img.reshape(-1, 3).sum(axis=0, dtype=np.int64)
+        th = resize_nearest(img, thumb, thumb)
+        rows["doc_id"].append(doc_id)
+        rows["width"].append(w)
+        rows["height"].append(h)
+        rows["sum_r"].append(int(sums[0]))
+        rows["sum_g"].append(int(sums[1]))
+        rows["sum_b"].append(int(sums[2]))
+        rows["thumb_sum"].append(int(th.sum(dtype=np.int64)))
+    return pa.table({k: pa.array(v, type=pa.int64())
+                     for k, v in rows.items()})
 
 
-class AudioFeaturizer:
-    """Actor-pool stage: binary WAV column → decoded audio features
+def featurize_audio(batch: pa.Table) -> pa.Table:
+    """Batch function: binary WAV column → decoded audio features
     (all-integer: sample count, rate, energy = Σ s², zero crossings)."""
+    from ..kernels.codec import decode_wav
 
-    def __init__(self):
-        from ..kernels.codec import decode_wav
-        self._decode = decode_wav
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = {"doc_id": [], "sample_rate": [], "n_samples": [],
-                "energy": [], "zero_crossings": []}
-        ids = batch.column("doc_id").to_pylist()
-        for doc_id, payload in zip(ids, batch.column("payload").to_pylist()):
-            rate, samples = self._decode(payload)
-            s = samples[:, 0].astype(np.int64)
-            rows["doc_id"].append(doc_id)
-            rows["sample_rate"].append(rate)
-            rows["n_samples"].append(len(s))
-            rows["energy"].append(int((s * s).sum()))
-            rows["zero_crossings"].append(
-                int(((s[:-1] < 0) != (s[1:] < 0)).sum()))
-        return pa.table({k: pa.array(v, type=pa.int64())
-                         for k, v in rows.items()})
+    rows = {"doc_id": [], "sample_rate": [], "n_samples": [],
+            "energy": [], "zero_crossings": []}
+    ids = batch.column("doc_id").to_pylist()
+    for doc_id, payload in zip(ids, batch.column("payload").to_pylist()):
+        rate, samples = decode_wav(payload)
+        s = samples[:, 0].astype(np.int64)
+        rows["doc_id"].append(doc_id)
+        rows["sample_rate"].append(rate)
+        rows["n_samples"].append(len(s))
+        rows["energy"].append(int((s * s).sum()))
+        rows["zero_crossings"].append(
+            int(((s[:-1] < 0) != (s[1:] < 0)).sum()))
+    return pa.table({k: pa.array(v, type=pa.int64())
+                     for k, v in rows.items()})
 
 
 def _synth_binary_column(sf_dir: str, synth_fn):
     """documents → (doc_id, payload) with a deterministic binary column.
     Payload synthesis is itself a map_batches stage, so the binary
     bytes genuinely flow through the object store into the featurizer
-    actor pool (small batch_size: payload × batch × concurrency must
-    fit worker heaps)."""
+    tasks (small batch_size: payload × batch must fit worker heaps)."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
     def synth(batch: pa.Table) -> pa.Table:
@@ -216,20 +192,16 @@ def _synth_binary_column(sf_dir: str, synth_fn):
 
 def image_features(sf_dir: str):
     """Real image pipeline over uncompressed BMP payloads: synthesize →
-    binary column → actor-pool decode/resize/featurize."""
+    binary column → decode/resize/featurize."""
     return _synth_binary_column(sf_dir, synth_bmp_payload).map_batches(
-        ImageFeaturizer, batch_format="pyarrow", batch_size=128,
-        concurrency=_featurizer_pool("image_features"),
-        num_cpus=1)
+        featurize_image, batch_format="pyarrow", batch_size=128)
 
 
 def audio_features(sf_dir: str):
     """Real audio pipeline over PCM WAV payloads: synthesize → binary
-    column → actor-pool decode/featurize."""
+    column → decode/featurize."""
     return _synth_binary_column(sf_dir, synth_wav_payload).map_batches(
-        AudioFeaturizer, batch_format="pyarrow", batch_size=128,
-        concurrency=_featurizer_pool("audio_features"),
-        num_cpus=1)
+        featurize_audio, batch_format="pyarrow", batch_size=128)
 
 
 def synth_video_payload(doc_id: int) -> bytes:
@@ -254,53 +226,47 @@ def synth_video_payload(doc_id: int) -> bytes:
     return encode_video(frames)
 
 
-class VideoFeaturizer:
-    """Actor-pool stage: KGV1 binary column → frame-sampled features.
+def featurize_video(batch: pa.Table, stride: int = 2) -> pa.Table:
+    """Batch function: KGV1 binary column → frame-sampled features.
 
     Samples every ``stride``-th frame — the container seeks over
     skipped frames, so the decode cost is proportional to frames
     SAMPLED.  Features are exact integers: sampled-frame channel sums
     and total absolute inter-frame motion."""
+    import struct
 
-    def __init__(self, stride: int = 2):
-        from ..kernels.codec import decode_video_frames
-        self._frames = decode_video_frames
-        self.stride = stride
+    from ..kernels.codec import decode_video_frames
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = {"doc_id": [], "n_frames": [], "n_sampled": [],
-                "sum_rgb": [], "motion": []}
-        ids = batch.column("doc_id").to_pylist()
-        for doc_id, payload in zip(ids, batch.column("payload").to_pylist()):
-            import struct as _struct
-            (n_frames,) = _struct.unpack_from("<I", payload, 4)
-            sampled = list(self._frames(payload, stride=self.stride))
-            s_rgb = 0
-            motion = 0
-            prev = None
-            for _, img in sampled:
-                a = img.astype(np.int64)
-                s_rgb += int(a.sum())
-                if prev is not None:
-                    motion += int(np.abs(a - prev).sum())
-                prev = a
-            rows["doc_id"].append(doc_id)
-            rows["n_frames"].append(n_frames)
-            rows["n_sampled"].append(len(sampled))
-            rows["sum_rgb"].append(s_rgb)
-            rows["motion"].append(motion)
-        return pa.table({k: pa.array(v, type=pa.int64())
-                         for k, v in rows.items()})
+    rows = {"doc_id": [], "n_frames": [], "n_sampled": [],
+            "sum_rgb": [], "motion": []}
+    ids = batch.column("doc_id").to_pylist()
+    for doc_id, payload in zip(ids, batch.column("payload").to_pylist()):
+        (n_frames,) = struct.unpack_from("<I", payload, 4)
+        sampled = list(decode_video_frames(payload, stride=stride))
+        s_rgb = 0
+        motion = 0
+        prev = None
+        for _, img in sampled:
+            a = img.astype(np.int64)
+            s_rgb += int(a.sum())
+            if prev is not None:
+                motion += int(np.abs(a - prev).sum())
+            prev = a
+        rows["doc_id"].append(doc_id)
+        rows["n_frames"].append(n_frames)
+        rows["n_sampled"].append(len(sampled))
+        rows["sum_rgb"].append(s_rgb)
+        rows["motion"].append(motion)
+    return pa.table({k: pa.array(v, type=pa.int64())
+                     for k, v in rows.items()})
 
 
 def video_features(sf_dir: str, stride: int = 2):
     """Real video pipeline over KGV1 clips: synthesize → binary column
-    → actor-pool seekable frame-sample + decode + featurize."""
+    → seekable frame-sample + decode + featurize."""
     return _synth_binary_column(sf_dir, synth_video_payload).map_batches(
-        VideoFeaturizer, fn_constructor_kwargs={"stride": stride},
-        batch_format="pyarrow", batch_size=64,
-        concurrency=_featurizer_pool("video_features"),
-        num_cpus=1)
+        featurize_video, fn_kwargs={"stride": stride},
+        batch_format="pyarrow", batch_size=64)
 
 
 # ------------------------------------------------------------------
@@ -366,28 +332,21 @@ def synth_bmp_payload_neardup(doc_id: int) -> bytes:
     return encode_bmp(img)
 
 
-class ImageDHasher:
-    """Actor-pool stage: binary BMP column → (doc_id, dhash int64)."""
+def dhash_images(batch: pa.Table) -> pa.Table:
+    """Batch function: binary BMP column → (doc_id, dhash int64)."""
+    from ..kernels.codec import decode_bmp
 
-    def __init__(self):
-        from ..kernels.codec import decode_bmp
-        self._decode = decode_bmp
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        sigs = [dhash64(self._decode(p))
-                for p in batch.column("payload").to_pylist()]
-        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                         "dhash": pa.array(sigs, type=pa.int64())})
+    sigs = [dhash64(decode_bmp(p))
+            for p in batch.column("payload").to_pylist()]
+    return pa.table({"doc_id": batch.column("doc_id").cast(pa.int64()),
+                     "dhash": pa.array(sigs, type=pa.int64())})
 
 
 def image_dhash_signatures(sf_dir: str):
     """(doc_id, dhash) over the near-dup-planted BMP corpus — synthesize
-    → binary column through the object store → actor-pool decode+hash."""
+    → binary column through the object store → decode + hash."""
     return _synth_binary_column(sf_dir, synth_bmp_payload_neardup) \
-        .map_batches(ImageDHasher, batch_format="pyarrow", batch_size=128,
-                     concurrency=_featurizer_pool("image_dhash_signatures"),
-                     num_cpus=1)
+        .map_batches(dhash_images, batch_format="pyarrow", batch_size=128)
 
 
 def image_phash_pairs(sf_dir: str, max_hamming: int = 3,
@@ -462,19 +421,14 @@ def synth_wav_payload_neardup(doc_id: int) -> bytes:
     return encode_wav(s, rate)
 
 
-class AudioFingerprinter:
-    """Actor-pool stage: binary WAV column → (doc_id, afp int64)."""
+def fingerprint_audio(batch: pa.Table) -> pa.Table:
+    """Batch function: binary WAV column → (doc_id, afp int64)."""
+    from ..kernels.codec import decode_wav
 
-    def __init__(self):
-        from ..kernels.codec import decode_wav
-        self._decode = decode_wav
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        sigs = [afp64(self._decode(p)[1][:, 0])
-                for p in batch.column("payload").to_pylist()]
-        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                         "afp": pa.array(sigs, type=pa.int64())})
+    sigs = [afp64(decode_wav(p)[1][:, 0])
+            for p in batch.column("payload").to_pylist()]
+    return pa.table({"doc_id": batch.column("doc_id").cast(pa.int64()),
+                     "afp": pa.array(sigs, type=pa.int64())})
 
 
 def audio_fingerprint_pairs(sf_dir: str, max_hamming: int = 3,
@@ -486,10 +440,8 @@ def audio_fingerprint_pairs(sf_dir: str, max_hamming: int = 3,
     from .dedup import hamming_lsh_pairs
 
     sigs = _synth_binary_column(sf_dir, synth_wav_payload_neardup) \
-        .map_batches(AudioFingerprinter, batch_format="pyarrow",
-                     batch_size=128,
-                     concurrency=_featurizer_pool("audio_fingerprint_pairs"),
-                     num_cpus=1).materialize()
+        .map_batches(fingerprint_audio, batch_format="pyarrow",
+                     batch_size=128).materialize()
     return hamming_lsh_pairs(sigs, "doc_id", "afp", "doc_a", "doc_b",
                              max_hamming=max_hamming,
                              max_bucket=max_bucket)
@@ -531,50 +483,43 @@ def synth_video_payload_scenes(doc_id: int) -> bytes:
     return encode_video(frames)
 
 
-class SceneChangeDetector:
-    """Actor-pool stage: KGV1 payload → detected cut frame indices.
+def detect_scene_changes(batch: pa.Table, factor: int = 2) -> pa.Table:
+    """Batch function: KGV1 payload → detected cut frame indices.
 
     Per clip: integer frame-delta energy d_i = Σ|f_i − f_{i−1}|; frame
     ``i`` is a cut iff ``d_i > factor · median(d)`` (lower median,
     integer comparison — the MEDIAN baseline is what makes the rule
     robust to the clip's own motion level; no float anywhere, so the
     fixture is exact)."""
+    from ..kernels.codec import decode_video_frames
 
-    def __init__(self, factor: int = 2):
-        from ..kernels.codec import decode_video_frames
-        self._decode = decode_video_frames
-        self.factor = factor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # one row per detected cut; cut_frame = -1 marks a clean clip
-        # (keeps every doc visible with a flat, sortable schema)
-        ids, nf, cf = [], [], []
-        for doc_id, payload in zip(batch.column("doc_id").to_pylist(),
-                                   batch.column("payload").to_pylist()):
-            frames = [f.astype(np.int64)
-                      for _, f in self._decode(payload)]
-            d = np.array([np.abs(frames[i] - frames[i - 1]).sum()
-                          for i in range(1, len(frames))], dtype=np.int64)
-            med = int(np.sort(d)[(len(d) - 1) // 2]) if len(d) else 0
-            cut_idx = [i + 1 for i in range(len(d))
-                       if int(d[i]) > self.factor * med]
-            for c in (cut_idx or [-1]):
-                ids.append(doc_id)
-                nf.append(len(frames))
-                cf.append(c)
-        return pa.table({
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "n_frames": pa.array(nf, type=pa.int64()),
-            "cut_frame": pa.array(cf, type=pa.int64())})
+    # one row per detected cut; cut_frame = -1 marks a clean clip
+    # (keeps every doc visible with a flat, sortable schema)
+    ids, nf, cf = [], [], []
+    for doc_id, payload in zip(batch.column("doc_id").to_pylist(),
+                               batch.column("payload").to_pylist()):
+        frames = [f.astype(np.int64)
+                  for _, f in decode_video_frames(payload)]
+        d = np.array([np.abs(frames[i] - frames[i - 1]).sum()
+                      for i in range(1, len(frames))], dtype=np.int64)
+        med = int(np.sort(d)[(len(d) - 1) // 2]) if len(d) else 0
+        cut_idx = [i + 1 for i in range(len(d))
+                   if int(d[i]) > factor * med]
+        for c in (cut_idx or [-1]):
+            ids.append(doc_id)
+            nf.append(len(frames))
+            cf.append(c)
+    return pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "n_frames": pa.array(nf, type=pa.int64()),
+        "cut_frame": pa.array(cf, type=pa.int64())})
 
 
 def video_scene_changes(sf_dir: str):
     """Shot-boundary detection over the planted-cut clip corpus:
-    synthesize → binary column → actor-pool decode + integer delta
-    detector.  Detection quality (planted cuts found, negatives clean)
-    is pinned in tests; the gate pins exact output."""
+    synthesize → binary column → decode + integer delta detector.
+    Detection quality (planted cuts found, negatives clean) is pinned
+    in tests; the gate pins exact output."""
     return _synth_binary_column(sf_dir, synth_video_payload_scenes) \
-        .map_batches(SceneChangeDetector, batch_format="pyarrow",
-                     batch_size=64,
-                     concurrency=_featurizer_pool("video_scene_changes"),
-                     num_cpus=1)
+        .map_batches(detect_scene_changes, batch_format="pyarrow",
+                     batch_size=64)

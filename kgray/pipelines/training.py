@@ -455,19 +455,17 @@ def transformer_trained_tags(sf_dir: str, epochs: int = 3,
     """Registry entry (closes reference T5 end-to-end): the NumPy
     Transformer-CRF is TRAINED on-engine (distributed, bit-identical
     across worker counts) on the corpus's CoNLL train split, then tags
-    the held-out validation split through the ``TransformerTagger``
-    actor pool.  Output per validation sentence: (sent_id, n_tokens,
+    the held-out validation split in one-CPU ``stages.kg.tag_link``
+    tasks.  Output per validation sentence: (sent_id, n_tokens,
     n_correct vs gold, pred_tags) — deterministic, so the committed
     fixture is a bitwise oracle AND encodes the model's quality."""
     import os
 
     import numpy as np
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ..sources.derived import corpus_for_sf
-    from ..stages.tagger import TransformerTagger
-    from .kg import TAGGER_EIGHTHS, pool_budget
+    from .kg import tag_table
 
     import ray
 
@@ -498,14 +496,8 @@ def transformer_trained_tags(sf_dir: str, epochs: int = 3,
             "pred_tags": pa.array([" ".join(p) for p in pred],
                                   type=pa.string())})
 
-    # from_arrow yields ONE block: one block per actor keeps the pool busy
-    n_actors = pool_budget("transformer_trained_tags",
-                           (TAGGER_EIGHTHS["transformer"], 256), n)
-    ds = rd.from_arrow(src).repartition(n_actors).map_batches(
-        TransformerTagger, fn_constructor_kwargs={
-            "model_paths": {"en": model_path}},
-        batch_format="pyarrow", batch_size=64, concurrency=n_actors,
-        num_cpus=1)
+    ds = tag_table(src, "transformer", {"en": model_path}, corpus,
+                   batch_size=64)
     return ds.map_batches(score, batch_format="pyarrow",
                           zero_copy_batch=True).sort("sent_id")
 
@@ -514,7 +506,7 @@ def trained_transformer_model_paths(sf_dir: str, epochs: int = 3,
                                     minibatch: int = 32) -> dict:
     """{lang: npz path} of TRAINED Transformer-CRF models for every
     language with a CoNLL train split in the corpus (train-once
-    caches) — the model_paths dict the tagger actor pools load."""
+    caches) — the model_paths dict the taggers load."""
     import os
 
     from ..sources.derived import corpus_for_sf

@@ -6,7 +6,8 @@ entity-embedding matrix) in its state — a broadcast hash join, never a
 shuffle (SURVEY.md §2.5).  The flagship chain tag → ``extract_triples``
 → link runs in plain tasks (:func:`tag_link`; :func:`write_groups` also
 writes each group's triples) over :func:`loaded_chain`, which loads the
-models once per Ray worker process.
+models once per Ray worker process; so does every other plan that tags
+or links.
 """
 
 from __future__ import annotations
@@ -108,21 +109,17 @@ TRIPLES_LINKED_SCHEMA = pa.schema([
 
 
 class LinkerActor:
-    """Link surface triples to canonical ids.
+    """Link surface triples to canonical ids: a plain class, built once
+    per worker process by :func:`loaded_chain` (no Ray actor).
 
     The alias index and embedding map are the broadcast small side
     (SURVEY.md §2.5 J1/J2 pattern), loaded once per instance in
-    ``__init__`` FROM THE CORPUS PATH — not shipped as ``ray.put``
-    object refs in the constructor args: with ``max_restarts > 0`` an
-    actor whose constructor args live in the object store cannot
-    restart once the owner of those refs dies (ray#53727), which on a
-    real multi-node cluster silently breaks the resume story.  Side
-    files live on the same shared storage as the page parquet, so a
-    restarted actor reloads them anywhere.  ``alias_patch`` is a small
-    plain-dict overlay (surface → [canonical_id]) applied after the
-    load — used by the alias-delta maintenance pipeline.  Per-batch
-    memoization of unambiguous surface → id serves the
-    head-entity-heavy workload.
+    ``__init__`` FROM THE CORPUS PATH, which lives on the same shared
+    storage as the page parquet, so any worker loads them anywhere.
+    ``alias_patch`` is a small plain-dict overlay (surface →
+    [canonical_id]) applied after the load — used by the alias-delta
+    maintenance pipeline.  Memoization of unambiguous surface → id
+    serves the head-entity-heavy workload.
     """
 
     def __init__(self, corpus_dir=None, alias_patch=None,
@@ -176,20 +173,24 @@ def _stamp(path: str) -> tuple:
     return path, st.st_mtime_ns, st.st_size
 
 
-def loaded_chain(tagger: str, model_paths: dict, corpus_dir: str) -> tuple:
+def loaded_chain(tagger: str | None, model_paths: dict, corpus_dir: str,
+                 alias_patch: dict | None = None) -> tuple:
     """This process's ``(TAGGERS[tagger](model_paths),
-    LinkerActor(corpus_dir))``, kept under the tagger name and the
-    ``(path, st_mtime_ns, st_size)`` of each model file and side table.
-    The cache holds one entry; a miss clears it before loading, so a
-    model rebuilt at the same path reloads and a long-lived worker
-    never holds two corpora."""
+    LinkerActor(corpus_dir, alias_patch))`` (no tagger for
+    ``tagger=None``), kept under the tagger name, the
+    ``(path, st_mtime_ns, st_size)`` of each model file and side table,
+    and the patch's value.  The cache holds one entry; a miss clears it
+    before loading, so a model rebuilt at the same path reloads and a
+    long-lived worker never holds two corpora."""
+    patch = tuple(sorted((s, tuple(c)) for s, c in (alias_patch or {}).items()))
     key = (tagger, *(_stamp(p) for _, p in sorted(model_paths.items())),
-           *(_stamp(os.path.join(corpus_dir, f)) for f in _SIDE_FILES))
+           *(_stamp(os.path.join(corpus_dir, f)) for f in _SIDE_FILES), patch)
     hit = _LOADED.get(key)
     if hit is None:
         _LOADED.clear()
-        hit = _LOADED[key] = (TAGGERS[tagger](model_paths),
-                              LinkerActor(corpus_dir=corpus_dir))
+        hit = _LOADED[key] = (TAGGERS[tagger](model_paths) if tagger else None,
+                              LinkerActor(corpus_dir=corpus_dir,
+                                          alias_patch=alias_patch))
     return hit
 
 

@@ -4,9 +4,8 @@ Each tagger class loads its model arrays ONCE in ``__init__`` (the
 distributed analogue of the reference's single pickle load at predict
 start, ``hmm_ner.py:130-131`` / ``crf_ner.py:659-665``), then every
 ``__call__`` decodes one Arrow batch of sentences with the vectorized
-NumPy kernel.  The flagship builds them through
-``stages.kg.loaded_chain``, once per Ray worker process; the
-validation-split plans run them as actor pools.
+NumPy kernel.  Every plan builds them through
+``stages.kg.loaded_chain``, once per Ray worker process.
 
 Sentences whose ``lang`` has no model are tagged all-``"O"`` (no
 mentions downstream).
@@ -42,6 +41,26 @@ def _attach_tags(batch: pa.Table, tags: list) -> pa.Table:
     })
 
 
+def _tag_by_lang(batch: pa.Table, models: dict, decode) -> pa.Table:
+    """Tag each language's sentences of ``batch`` in one
+    ``decode(sentences, model)`` call; a language with no model is
+    tagged all-``"O"``."""
+    tokens = batch.column("tokens").to_pylist()
+    tags: list = [None] * len(tokens)
+    by_lang: dict = {}
+    for i, lang in enumerate(batch.column("lang").to_pylist()):
+        by_lang.setdefault(lang, []).append(i)
+    for lang, idxs in by_lang.items():
+        model = models.get(lang)
+        if model is None:
+            decoded = [["O"] * len(tokens[i]) for i in idxs]
+        else:
+            decoded = decode([tokens[i] for i in idxs], model)
+        for i, d in zip(idxs, decoded):
+            tags[i] = d
+    return _attach_tags(batch, tags)
+
+
 class HMMTagger:
     """HMM Viterbi over BIO tags (kernel semantics of
     hmm_ner.py:165-268, vectorized)."""
@@ -52,22 +71,7 @@ class HMMTagger:
                        for lang, p in model_paths.items()}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        tokens = batch.column("tokens").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        tags: list = [None] * len(tokens)
-        by_lang: dict = {}
-        for i, lang in enumerate(langs):
-            by_lang.setdefault(lang, []).append(i)
-        for lang, idxs in by_lang.items():
-            model = self.models.get(lang)
-            if model is None:
-                for i in idxs:
-                    tags[i] = ["O"] * len(tokens[i])
-            else:
-                decoded = hmm_kernel.viterbi_batch([tokens[i] for i in idxs], model)
-                for i, d in zip(idxs, decoded):
-                    tags[i] = d
-        return _attach_tags(batch, tags)
+        return _tag_by_lang(batch, self.models, hmm_kernel.viterbi_batch)
 
 
 class TransformerTagger:
@@ -80,23 +84,8 @@ class TransformerTagger:
                        for lang, p in model_paths.items()}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        tokens = batch.column("tokens").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        tags: list = [None] * len(tokens)
-        by_lang: dict = {}
-        for i, lang in enumerate(langs):
-            by_lang.setdefault(lang, []).append(i)
-        for lang, idxs in by_lang.items():
-            model = self.models.get(lang)
-            if model is None:
-                for i in idxs:
-                    tags[i] = ["O"] * len(tokens[i])
-            else:
-                decoded = tfm_kernel.predict_sentences(
-                    model, [tokens[i] for i in idxs])
-                for i, d in zip(idxs, decoded):
-                    tags[i] = d
-        return _attach_tags(batch, tags)
+        return _tag_by_lang(batch, self.models, lambda sents, m:
+                            tfm_kernel.predict_sentences(m, sents))
 
 
 class CRFTagger:

@@ -68,3 +68,45 @@ def tiny_corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     generate_corpus(str(out), n_pages=120, seed=7, pages_per_shard=30)
     return str(out)
+
+
+@pytest.fixture
+def beside_a_cotenant(ray_session):
+    """``run(fn)`` calls ``fn()`` in a thread while an actor holds 3 of
+    the session's 4 CPUs and returns its result (or re-raises its
+    error).  A plan that cannot be scheduled on the one free CPU fails
+    the test after ``deadline`` seconds instead of hanging it."""
+    import threading
+
+    import ray
+
+    @ray.remote(num_cpus=3)
+    class CoTenant:
+        def ready(self):
+            return True
+
+    def run(fn, deadline: float = 120):
+        tenant = CoTenant.remote()
+        box = {}
+
+        def call():
+            try:
+                box["out"] = fn()
+            except BaseException as e:   # re-raised in the test's thread
+                box["err"] = e
+
+        t = threading.Thread(target=call, daemon=True)
+        try:
+            assert ray.get(tenant.ready.remote(), timeout=60)
+            t.start()
+            t.join(deadline)
+            stalled = t.is_alive()
+        finally:
+            ray.kill(tenant)
+        t.join(deadline)         # a stalled plan drains once the CPUs are back
+        assert not stalled, f"no result beside a co-tenant after {deadline} s"
+        if "err" in box:
+            raise box["err"]
+        return box["out"]
+
+    return run

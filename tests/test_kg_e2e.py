@@ -311,44 +311,17 @@ def test_chain_cache_reloads_a_rebuilt_model(kg_run, tmp_path):
     assert len(kg_stage._LOADED) == 1
 
 
-def test_run_kg_beside_a_cotenant(ray_session, tiny_corpus_dir, tmp_path):
+def test_run_kg_beside_a_cotenant(beside_a_cotenant, tiny_corpus_dir,
+                                  tmp_path):
     """An actor holds 3 of the session's 4 CPUs: ``run_kg`` still ends in
     the serial oracle's graph, on the one free CPU, before a deadline,
     so a plan that cannot be scheduled fails here instead of hanging."""
-    import threading
-
-    import ray
-
-    @ray.remote(num_cpus=3)
-    class CoTenant:
-        def ready(self):
-            return True
-
     out = str(tmp_path / "kg_cotenant")
     model_dir = os.path.join(out, "models")
     kg.build_models(tiny_corpus_dir, model_dir, tagger="hmm")
-    tenant = CoTenant.remote()
-    box = {}
-
-    def run():
-        try:
-            box["stats"] = kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir)
-        except BaseException as e:       # re-raised in the test's thread
-            box["err"] = e
-
-    t = threading.Thread(target=run, daemon=True)
-    try:
-        assert ray.get(tenant.ready.remote(), timeout=60)
-        t.start()
-        t.join(120)
-        stalled = t.is_alive()
-    finally:
-        ray.kill(tenant)
-    t.join(120)               # a stalled run drains once the CPUs are back
-    assert not stalled, "run_kg beside a co-tenant: no graph after 120 s"
-    if "err" in box:
-        raise box["err"]
-    assert not box["stats"]["groups_remaining"]
+    stats = beside_a_cotenant(
+        lambda: kg.run_kg(tiny_corpus_dir, out, model_dir=model_dir))
+    assert not stats["groups_remaining"]
     assert _read_graph(out) == kg.serial_oracle_triples(tiny_corpus_dir,
                                                         model_dir, tagger="hmm")
 

@@ -285,7 +285,7 @@ def test_video_scene_changes_planted(ray_session):
 
 def test_pil_decoder_injection_parity(ray_session):
     """When a real image codec (Pillow) is present, injecting it as
-    ``ImageFeaturizer(decoder=...)`` must produce feature columns
+    ``featurize_image(decoder=...)`` must produce feature columns
     identical to the from-scratch BMP decoder on the synthetic BMP
     twin — keeping the injectable stub honest the day the environment
     gains a codec.  Skips cleanly where Pillow is absent (this
@@ -295,7 +295,7 @@ def test_pil_decoder_injection_parity(ray_session):
 
     import ray.data as rd
 
-    from kgray.pipelines.multimodal import ImageFeaturizer, synth_bmp_payload
+    from kgray.pipelines.multimodal import featurize_image, synth_bmp_payload
 
     def pil_decode(payload: bytes) -> np.ndarray:
         img = PIL_Image.open(io.BytesIO(payload)).convert("RGB")
@@ -309,8 +309,8 @@ def test_pil_decoder_injection_parity(ray_session):
 
     def run(decoder):
         ds = rd.from_arrow(src).map_batches(
-            ImageFeaturizer, fn_constructor_kwargs={"decoder": decoder},
-            batch_format="pyarrow", batch_size=8, concurrency=2, num_cpus=1)
+            featurize_image, fn_kwargs={"decoder": decoder},
+            batch_format="pyarrow", batch_size=8)
         return ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
     scratch = run(None)                 # from-scratch decode_bmp

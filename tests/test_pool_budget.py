@@ -1,41 +1,40 @@
-"""One actor-pool budget for every plan.
+"""No plan starts an actor pool.
 
-Fixed-size actor pools that cannot all start, or that leave no CPU for
-the fractional-CPU read tasks feeding them, stall the streaming
-executor without an error.  The flagship's plans (``kg_dataset`` and
-the ``run_kg`` stream) start no actor pool at all: their one-CPU tasks
-run on whatever CPUs are free.  Every other plan starts one actor pool,
-and it must either fit the cluster (below the CPU count) or raise
-``PoolBudgetError`` when it is built — at every cluster size, not just
-the test session's."""
+A fixed-size actor pool sized from the cluster's CPU count cannot start
+beside a co-tenant that holds some of those CPUs, and it stalls the
+streaming executor without an error.  Every model stage therefore runs
+as a one-CPU task that loads its model once per worker process
+(``stages.kg.loaded_chain``) or holds no state at all: the flagship's
+plans (``kg_dataset`` and the ``run_kg`` stream), the validation-split
+taggers, the alias-patch relink and the multimodal featurizers.  Every
+plan is built at 1–32 CPUs and must hold no actor pool, and the plans
+that used to hold one finish beside a co-tenant."""
 
 import json
 import os
 from functools import partial
 
+import pyarrow as pa
 import pytest
 import ray
 import ray.data as rd
 from ray.data import ActorPoolStrategy
 
 from kgray.pipelines import kg
-from kgray.pipelines.kg import PoolBudgetError
 
 TAGGERS = ("hmm", "crf", "transformer")
 
 
-def _pool_sizes(ds) -> list:
-    """Sizes of the fixed actor pools in a lazy Dataset's logical
-    plan, upstream first."""
-    sizes, stack = [], [ds._logical_plan.dag]
+def _actor_pools(ds) -> list:
+    """Names of the actor-pool operators in a lazy Dataset's logical
+    plan."""
+    pools, stack = [], [ds._logical_plan.dag]
     while stack:
         op = stack.pop()
-        compute = getattr(op, "_compute", None)
-        if isinstance(compute, ActorPoolStrategy):
-            assert compute.min_size == compute.max_size
-            sizes.append(compute.max_size)
+        if isinstance(getattr(op, "_compute", None), ActorPoolStrategy):
+            pools.append(op.name)
         stack.extend(op.input_dependencies)
-    return sizes[::-1]
+    return pools
 
 
 def _cpus(monkeypatch, n: int) -> None:
@@ -45,7 +44,7 @@ def _cpus(monkeypatch, n: int) -> None:
 @pytest.fixture(scope="module")
 def fake_models(tmp_path_factory):
     """A models.json for every tagger: plans are built, never run, so
-    no actor ever loads these paths."""
+    no task ever loads these paths."""
     d = tmp_path_factory.mktemp("models")
     with open(d / "models.json", "w") as f:
         json.dump({t: {"en": "unused", "zh": "unused"} for t in TAGGERS}, f)
@@ -89,6 +88,7 @@ def _plans(corpus: str, model_dir: str) -> dict:
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 32])
 def test_every_pool_plan_fits_or_raises(ray_session, tiny_corpus_dir,
                                         fake_models, monkeypatch, cpus):
+    """Every plan builds at every cluster size, with no actor pool."""
     from kgray.pipelines import graph, training
     from kgray.sources import derived
     from kgray.stages import canonical
@@ -105,29 +105,45 @@ def test_every_pool_plan_fits_or_raises(ray_session, tiny_corpus_dir,
     plans = _plans(tiny_corpus_dir, fake_models)
     _cpus(monkeypatch, cpus)
     for name, build in plans.items():
-        if name.startswith(("kg_dataset", "run_kg")):
-            assert _pool_sizes(build()) == [], (name, cpus)
-            continue
-        try:
-            sizes = _pool_sizes(build())
-        except PoolBudgetError as e:
-            assert cpus == 1, (name, cpus, str(e))
-            assert f"has {cpus}" in str(e) and "need" in str(e), str(e)
-            continue
-        assert len(sizes) == 1 and 1 <= sizes[0] < cpus, (name, sizes, cpus)
+        assert _actor_pools(build()) == [], (name, cpus)
 
 
-def test_budget_keeps_sound_sizes(ray_session, tiny_corpus_dir,
-                                  monkeypatch):
-    """A six-eighths pool leaves two CPUs to the plan's stateless
-    stages, yet one actor still starts at 2 or 3 CPUs; only a 1-CPU
-    cluster raises."""
+def _sorted(ds, keys: list) -> pa.Table:
+    from kgray.stages.topk import to_table
+
+    return to_table(ds).sort_by([(k, "ascending") for k in keys])
+
+
+def test_binary_features_beside_a_cotenant(beside_a_cotenant,
+                                           tiny_corpus_dir):
+    """The featurizer finishes on the one CPU a co-tenant leaves free,
+    with the uncontended run's output."""
     from kgray.pipelines import multimodal
 
     files = kg.page_files(tiny_corpus_dir)
-    for cpus, n in ((2, 1), (3, 1), (4, 2), (8, 6), (32, 24)):
-        _cpus(monkeypatch, cpus)
-        assert _pool_sizes(multimodal.binary_features(files)) == [n]
-    _cpus(monkeypatch, 1)
-    with pytest.raises(PoolBudgetError, match=r"needs 2 CPUs.*has 1"):
-        multimodal.binary_features(files)
+
+    def features():
+        return _sorted(multimodal.binary_features(files), ["url"])
+
+    assert beside_a_cotenant(features).equals(features())
+
+
+def test_hmm_tags_valid_beside_a_cotenant(beside_a_cotenant, tiny_corpus_dir,
+                                          tmp_path, monkeypatch):
+    """The validation-split tagger finishes beside a co-tenant, with the
+    uncontended run's tags."""
+    import __ray_entry__ as entry
+    from kgray.sources import derived
+
+    model_dir = str(tmp_path / "models")
+    kg.build_models(tiny_corpus_dir, model_dir, tagger="hmm")
+    monkeypatch.setattr(derived, "corpus_for_sf", lambda sf: tiny_corpus_dir)
+    monkeypatch.setattr(derived, "models_for_corpus",
+                        lambda corpus, tagger="hmm": model_dir)
+
+    def tags():
+        return _sorted(entry._hmm_tags_valid("sf"),
+                       ["sent_id", "token_idx"])
+
+    tagged = beside_a_cotenant(tags)
+    assert tagged.num_rows and tagged.equals(tags())
